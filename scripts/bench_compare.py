@@ -23,6 +23,9 @@ recorded minimum.  ``--select`` narrows both the run and the comparison
 to benchmarks matching a pytest ``-k`` expression -- the CI smoke job
 uses it to gate merges on the engine-path benchmarks only.
 
+The hard gate (without ``--advisory``) also fails, with exit code 2, when
+a measured benchmark has no baseline entry: it could regress unseen.
+
 ``--update-baseline`` rewrites the ``baseline`` section from the current
 run (preserving the recorded ``pre_pr`` reference numbers); commit the
 result when a deliberate performance change shifts the expected numbers.
@@ -107,8 +110,14 @@ def stats_by_name(report: dict) -> dict:
     return out
 
 
-def compare(current: dict, baseline: dict, threshold: float) -> list:
-    """Regressions as (name, current_min_us, baseline_min_us, ratio)."""
+def compare(current: dict, baseline: dict, threshold: float) -> tuple:
+    """Compare a run with its baseline.
+
+    Returns ``(regressions, unbaselined)``: regressions as (name,
+    current_min_us, baseline_min_us, ratio), and the names of measured
+    benchmarks that have no baseline entry -- a benchmark the gate cannot
+    compare is a benchmark it cannot see regress.
+    """
     regressions = []
     for name, entry in sorted(baseline.items()):
         now = current.get(name)
@@ -126,9 +135,10 @@ def compare(current: dict, baseline: dict, threshold: float) -> list:
             f"  {verdict:>9}  {name}: {cur_min:.1f}us vs baseline "
             f"{base_min:.1f}us ({ratio:.2f}x)"
         )
-    for name in sorted(set(current) - set(baseline)):
+    unbaselined = sorted(set(current) - set(baseline))
+    for name in unbaselined:
         print(f"  NEW      {name}: {current[name]['min_us']:.1f}us (no baseline)")
-    return regressions
+    return regressions, unbaselined
 
 
 def main(argv=None) -> int:
@@ -208,10 +218,16 @@ def main(argv=None) -> int:
         reference = {
             name: entry for name, entry in reference.items() if name in current
         }
-    regressions = compare(current, reference, args.threshold)
+    regressions, unbaselined = compare(current, reference, args.threshold)
     if regressions:
         print(f"{len(regressions)} benchmark(s) regressed beyond threshold")
         return 0 if args.advisory else 1
+    if unbaselined:
+        print(
+            f"{len(unbaselined)} benchmark(s) have no baseline; record "
+            "them with --update-baseline --select"
+        )
+        return 0 if args.advisory else 2
     print("no regressions beyond threshold")
     return 0
 

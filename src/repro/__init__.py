@@ -64,7 +64,6 @@ from .sim import (
 from .energy import DVSModel, EnergyReport, PowerModel, energy_of
 from .faults import FaultScenario, PermanentFault, PoissonTransientFaults
 from .schedulers import (
-    DistanceBasedPriority,
     MKSSDualPriority,
     MKSSGreedy,
     MKSSHybrid,
@@ -155,7 +154,6 @@ __all__ = [
     "MKSSHybrid",
     "selective_execution_rate",
     "SingleProcessorFP",
-    "DistanceBasedPriority",
     "ReExecutionFP",
     "run_policy",
     # qos

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from .analysis.hyperperiod import analysis_horizon
 from .analysis.postponement import task_postponement_intervals
@@ -39,7 +39,7 @@ from .errors import ReproError
 from .harness.figures import DEFAULT_BINS, fig6a, fig6b, fig6c
 from .harness.protocol import ExperimentProtocol
 from .harness.report import format_series_table, format_table
-from .harness.runner import SCHEME_FACTORIES
+from .harness.runner import SCHEME_FACTORIES, RunSpec, speed_plan_of
 from .model.history import INITIAL_HISTORY_MODES
 from .model.task import Task
 from .model.taskset import TaskSet
@@ -98,13 +98,6 @@ def _add_release_args(parser) -> None:
     )
 
 
-def _release_model_from_args(args) -> Optional[ReleaseModel]:
-    """The ReleaseModel the flags describe (None = periodic default)."""
-    if args.release_model == "periodic":
-        return None
-    return ReleaseModel.preset(args.release_model, seed=args.release_seed)
-
-
 def _add_dvfs_args(parser) -> None:
     """Register the deadline-safe frequency-scaling knobs."""
     parser.add_argument(
@@ -131,11 +124,22 @@ def _add_dvfs_args(parser) -> None:
     )
 
 
-def _dvfs_from_args(args) -> Optional[DVFSConfig]:
-    """The DVFSConfig the flags describe (None = no frequency scaling)."""
-    if not args.dvfs:
-        return None
-    return DVFSConfig(alpha=args.dvs_alpha, static_power=args.dvs_static)
+def _run_knobs_from_args(args) -> Dict[str, Any]:
+    """The :class:`RunSpec` knobs the release, history, and DVFS flags
+    describe, as keywords of ``RunSpec`` and the flat entry points."""
+    release_model = None
+    if args.release_model != "periodic":
+        release_model = ReleaseModel.preset(
+            args.release_model, seed=args.release_seed
+        )
+    dvfs = None
+    if args.dvfs:
+        dvfs = DVFSConfig(alpha=args.dvs_alpha, static_power=args.dvs_static)
+    return {
+        "release_model": release_model,
+        "initial_history": args.initial_history,
+        "dvfs": dvfs,
+    }
 
 
 def _resolve_taskset(args) -> TaskSet:
@@ -202,26 +206,22 @@ def cmd_simulate(args) -> int:
         horizon = args.horizon * base.ticks_per_unit
     else:
         horizon = analysis_horizon(taskset, base, 2000)
-    dvfs = _dvfs_from_args(args)
-    speed_plan = None
-    if dvfs is not None and dvfs.applies_to(args.scheme):
-        from .energy.dvfs import resolve_dvfs, speed_plan_for
-
-        dvfs = resolve_dvfs(dvfs)
-        if dvfs is not None:
-            speed_plan = speed_plan_for(
-                taskset, base, dvfs, horizon_cap_units=args.horizon or 2000
-            )
+    run = RunSpec(
+        horizon_cap_units=args.horizon or 2000,
+        collect_trace=collect_trace,
+        fold=args.fold,
+        **_run_knobs_from_args(args),
+    )
     result = run_policy(
         taskset,
         SCHEME_FACTORIES[args.scheme](),
         horizon,
         base,
-        collect_trace=collect_trace,
-        fold=args.fold,
-        release_model=_release_model_from_args(args),
-        initial_history=args.initial_history,
-        speed_plan=speed_plan,
+        collect_trace=run.collect_trace,
+        fold=run.fold,
+        release_model=run.release_model,
+        initial_history=run.initial_history,
+        speed_plan=speed_plan_of(taskset, args.scheme, run),
     )
     if args.gantt and collect_trace:
         cell = 1 if base.ticks_per_unit == 1 else f"1/{base.ticks_per_unit}"
@@ -245,7 +245,7 @@ def cmd_simulate(args) -> int:
         from .qos.timeline import render_timelines
 
         print()
-        print(render_timelines(result, args.initial_history))
+        print(render_timelines(result, run.initial_history))
     if args.export:
         from .sim.export import write_result
 
@@ -280,7 +280,6 @@ def cmd_sweep(args) -> int:
 
     panel = {"none": fig6a, "permanent": fig6b, "transient": fig6c}[args.faults]
     bins = parse_bins(args.bins) if args.bins else list(DEFAULT_BINS)
-    collect_trace = args.collect_trace and not args.fold
     log = EventLog()
     backend = args.backend
     if backend == "batch":
@@ -306,7 +305,6 @@ def cmd_sweep(args) -> int:
         bins=bins,
         sets_per_bin=args.sets_per_bin,
         seed=args.seed,
-        horizon_cap_units=args.horizon,
         workers=args.workers,
         backend=backend,
         journal_path=args.journal or None,
@@ -314,13 +312,12 @@ def cmd_sweep(args) -> int:
         force_new=args.force_new,
         job_timeout=args.job_timeout or None,
         events=log,
-        collect_trace=collect_trace,
+        collect_trace=args.collect_trace and not args.fold,
         fold=args.fold,
         validate=args.validate,
         generation_store=args.gen_cache or None,
-        release_model=_release_model_from_args(args),
-        initial_history=args.initial_history,
-        dvfs=_dvfs_from_args(args),
+        horizon_cap_units=args.horizon,
+        **_run_knobs_from_args(args),
     )
     print(format_series_table(sweep, f"sweep ({args.faults} faults)"))
     generation = next(
@@ -394,22 +391,13 @@ def cmd_triage(args) -> int:
 
     protocol = documented_protocol()
     overrides = {}
-    if args.sets_per_bin:
-        overrides["sets_per_bin"] = args.sets_per_bin
     if args.horizon:
         overrides["horizon_cap_units"] = args.horizon
+    if args.sets_per_bin:
+        overrides["sets_per_bin"] = args.sets_per_bin
     if args.seed:
         overrides["seed"] = args.seed
-    release_model = _release_model_from_args(args)
-    if release_model is not None:
-        overrides["release_model"] = release_model
-    if args.initial_history != "met":
-        overrides["initial_history"] = args.initial_history
-    dvfs = _dvfs_from_args(args)
-    if dvfs is not None:
-        overrides["dvfs"] = dvfs
-    if overrides:
-        protocol = protocol.replace(**overrides)
+    protocol = protocol.replace(**_run_knobs_from_args(args), **overrides)
     panels = tuple(
         panel.strip() for panel in args.panels.split(",") if panel.strip()
     )
@@ -480,6 +468,7 @@ def cmd_validate(args) -> int:
         scenario = FaultScenario.permanent_and_transient(seed=args.seed)
     else:
         scenario = None
+    knobs = _run_knobs_from_args(args)
     total = 0
     for scheme in schemes:
         report = audit_scheme(
@@ -488,9 +477,7 @@ def cmd_validate(args) -> int:
             scenario=scenario,
             horizon_cap_units=args.horizon,
             modes=modes,
-            release_model=_release_model_from_args(args),
-            initial_history=args.initial_history,
-            dvfs=_dvfs_from_args(args),
+            **knobs,
         )
         verdicts = "  ".join(
             f"{audit.mode}: {'ok' if audit.ok else f'{len(audit.issues)} issue(s)'}"

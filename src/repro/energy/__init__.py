@@ -9,11 +9,7 @@ from .accounting import (
     energy_of_result,
 )
 from .dvs import DVSModel, scaled_energy
-from .dvs_scheduling import (
-    dvs_energy_of,
-    max_uniform_slowdown,
-    slowed_taskset,
-)
+from .dvs_scheduling import max_uniform_slowdown
 from .dvfs import (
     DVFS_SCHEMES,
     DVFSConfig,
@@ -32,9 +28,7 @@ __all__ = [
     "energy_of_result",
     "DVSModel",
     "scaled_energy",
-    "dvs_energy_of",
     "max_uniform_slowdown",
-    "slowed_taskset",
     "DVFS_SCHEMES",
     "DVFSConfig",
     "SpeedPlan",

@@ -1,35 +1,31 @@
-"""DVS-enabled standby-sparing: uniform slowdown + speed-aware accounting.
+"""Uniform DVS slowdown for standby-sparing: the safe speed bound.
 
 The paper's MKSS_DP baseline is Begam et al. [8] "without applying DVS";
-this module supplies the missing DVS half so the trade can be measured:
+this module supplies the speed bound the DVFS layer
+(:mod:`repro.energy.dvfs`) compiles into per-task plans:
 
 * :func:`max_uniform_slowdown` -- the largest uniform execution-time
   stretch factor f (speed s = 1/f) that keeps the mandatory workload
   R-pattern schedulable; reuses the exact critical-scaling-factor search.
-* :func:`slowed_taskset` -- the task set with every WCET stretched by f
-  (same periods/deadlines), ready to run under any scheduler.
-* :func:`dvs_energy_of` -- trace energy where every executed tick is
-  charged the DVS power at that task's speed (``s**alpha + static``),
-  instead of the flat P_act = 1.
+* :func:`clamp_to_critical_speed` -- never slow past the energy-optimal
+  critical speed.
 
-The expected outcome (and what the extension bench shows): with realistic
-leakage, slowing below the critical speed *increases* energy, and even
-optimal uniform DVS buys little once DPD already eliminates idle power --
-the paper's stated reason for dropping DVS.
+The engine bills every executed unit ``s**alpha + static`` under the
+plan (:mod:`repro.energy.accounting`).  The expected outcome (and what
+the extension bench shows): with realistic leakage, slowing below the
+critical speed *increases* energy, and even optimal uniform DVS buys
+little once DPD already eliminates idle power -- the paper's stated
+reason for dropping DVS.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Optional, Sequence
 
-from ..errors import ConfigurationError
+from ..analysis.sensitivity import critical_scaling_factor
 from ..model.taskset import TaskSet
-from ..sim.trace import ExecutionTrace
-from ..timebase import TimeBase
 from .dvs import DVSModel
-from ..analysis.sensitivity import critical_scaling_factor, scale_wcets
 
 
 def max_uniform_slowdown(
@@ -46,15 +42,6 @@ def max_uniform_slowdown(
         taskset, precision=precision, horizon_cap_units=horizon_cap_units
     )
     return max(factor, Fraction(1))
-
-
-def slowed_taskset(taskset: TaskSet, slowdown: Fraction) -> TaskSet:
-    """The task set executed at speed 1/slowdown (WCETs stretched)."""
-    if slowdown < 1:
-        raise ConfigurationError(
-            f"slowdown must be >= 1 (speed <= 1), got {slowdown}"
-        )
-    return scale_wcets(taskset, slowdown)
 
 
 def clamp_to_critical_speed(
@@ -75,53 +62,3 @@ def clamp_to_critical_speed(
         bound = Fraction(1)
     max_sensible = Fraction(1) / bound
     return min(slowdown, max_sensible)
-
-
-def dvs_energy_of(
-    trace: ExecutionTrace,
-    timebase: TimeBase,
-    horizon_ticks: int,
-    speeds: Sequence[float],
-    model: Optional[DVSModel] = None,
-    idle_static_power: float = 0.0,
-) -> float:
-    """Active energy of a trace with per-task execution speeds.
-
-    Args:
-        trace: the execution trace (segment lengths are *scaled* time).
-        timebase: tick grid.
-        horizon_ticks: accounting window end.
-        speeds: per-task speed (index = task priority), each in
-            ``[model.min_speed, 1]`` (rejected otherwise, like
-            :meth:`~repro.energy.dvs.DVSModel.power_at`).
-        model: DVS power model (defaults to :class:`DVSModel` defaults).
-        idle_static_power: power drawn while idle-but-on (DPD handles the
-            rest; kept simple here because the comparison bench only needs
-            active energy).
-    """
-    power_model = model or DVSModel()
-    # power_at rejects speeds outside [min_speed, 1]: a speed below the
-    # platform floor would bill stretched segments at min-speed power,
-    # undercounting the energy the stretch actually costs.
-    energy = 0.0
-    per_task_power: Dict[int, float] = {
-        index: power_model.power_at(speed)
-        for index, speed in enumerate(speeds)
-    }
-    for segment in trace.segments:
-        overlap = segment.overlap_with(0, horizon_ticks)
-        if overlap <= 0:
-            continue
-        units = overlap / timebase.ticks_per_unit
-        energy += units * per_task_power[segment.task_index]
-    if idle_static_power:
-        for processor in range(trace.processor_count):
-            for gap_start, gap_end in trace.idle_gaps(
-                processor, (0, horizon_ticks)
-            ):
-                energy += (
-                    (gap_end - gap_start)
-                    / timebase.ticks_per_unit
-                    * idle_static_power
-                )
-    return energy

@@ -20,6 +20,7 @@ panel coherently.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..energy.power import PowerModel
@@ -133,14 +134,17 @@ def _run_panel(
     dvfs=None,
 ) -> SweepResult:
     proto = protocol or ExperimentProtocol.documented()
-    if power_model is None and not proto.uses_default_power_model():
-        power_model = proto.power_model()
-    if release_model is None:
-        release_model = proto.release_model
-    if initial_history is None:
-        initial_history = proto.initial_history
-    if dvfs is None:
-        dvfs = proto.dvfs
+    explicit = {
+        "horizon_cap_units": horizon_cap_units,
+        "power_model": power_model,
+        "release_model": release_model,
+        "initial_history": initial_history,
+        "dvfs": dvfs,
+    }
+    run = dataclasses.replace(
+        proto.run_spec(),
+        **{name: value for name, value in explicit.items() if value is not None},
+    )
     return utilization_sweep(
         bins=list(proto.bins) if bins is None else bins,
         schemes=schemes,
@@ -152,12 +156,6 @@ def _run_panel(
             proto.generator if generator_config is None else generator_config
         ),
         seed=proto.seed if seed is None else seed,
-        horizon_cap_units=(
-            proto.horizon_cap_units
-            if horizon_cap_units is None
-            else horizon_cap_units
-        ),
-        power_model=power_model,
         tasksets_by_bin=tasksets_by_bin,
         workers=workers,
         backend=backend,
@@ -170,9 +168,7 @@ def _run_panel(
         fold=fold,
         validate=validate,
         generation_store=generation_store,
-        release_model=release_model,
-        initial_history=initial_history,
-        dvfs=dvfs,
+        **run.knobs(),
     )
 
 

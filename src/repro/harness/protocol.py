@@ -34,13 +34,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Dict, Optional, Tuple
 
-from ..energy.dvfs import DVFSConfig, resolve_dvfs
+from ..energy.dvfs import DVFSConfig
 from ..energy.power import PowerModel
 from ..errors import ConfigurationError
-from ..model.history import INITIAL_HISTORY_MODES
 from ..timebase import as_fraction
 from ..workload.generator import GeneratorConfig
-from ..workload.release import ReleaseModel, resolve_release_model
+from ..workload.release import ReleaseModel
+from .runner import RunSpec
 
 #: The paper's x-axis: 0.1-wide (m,k)-utilization bins over (0, 1].
 DEFAULT_BINS: Tuple[Tuple[float, float], ...] = tuple(
@@ -111,10 +111,6 @@ class ExperimentProtocol:
             raise ConfigurationError(
                 f"sets_per_bin must be >= 1, got {self.sets_per_bin}"
             )
-        if self.horizon_cap_units < 1:
-            raise ConfigurationError(
-                f"horizon_cap_units must be >= 1, got {self.horizon_cap_units}"
-            )
         object.__setattr__(
             self, "bins", tuple(tuple(b) for b in self.bins)
         )
@@ -123,15 +119,22 @@ class ExperimentProtocol:
         )
         if self.break_even_units < 0:
             raise ConfigurationError("break_even_units must be >= 0")
-        object.__setattr__(
-            self, "release_model", resolve_release_model(self.release_model)
+        run = self.run_spec()
+        for name in ("release_model", "initial_history", "dvfs"):
+            object.__setattr__(self, name, getattr(run, name))
+
+    def run_spec(self) -> RunSpec:
+        """The :class:`RunSpec` of one run under this protocol."""
+        power_model = (
+            None if self.uses_default_power_model() else self.power_model()
         )
-        if self.initial_history not in INITIAL_HISTORY_MODES:
-            raise ConfigurationError(
-                f"initial_history must be one of {INITIAL_HISTORY_MODES}, "
-                f"got {self.initial_history!r}"
-            )
-        object.__setattr__(self, "dvfs", resolve_dvfs(self.dvfs))
+        return RunSpec(
+            horizon_cap_units=self.horizon_cap_units,
+            power_model=power_model,
+            release_model=self.release_model,
+            initial_history=self.initial_history,
+            dvfs=self.dvfs,
+        )
 
     @classmethod
     def documented(cls, **overrides: Any) -> "ExperimentProtocol":
@@ -196,14 +199,10 @@ class ExperimentProtocol:
             "permanent_seed_base": self.permanent_seed_base,
             "transient_seed_base": self.transient_seed_base,
         }
-        # Conditional keys keep default protocols' dicts (and everything
-        # fingerprinted off them) byte-identical to pre-knob output.
-        if self.release_model is not None:
-            payload["release_model"] = self.release_model.as_dict()
-        if self.initial_history != "met":
-            payload["initial_history"] = self.initial_history
-        if self.dvfs is not None:
-            payload["dvfs"] = self.dvfs.as_dict()
+        knobs = self.run_spec().canonical()
+        # ``break_even_units`` above already describes the power model.
+        knobs.pop("power_model", None)
+        payload.update(knobs)
         return payload
 
 

@@ -9,13 +9,15 @@ so comparisons are paired.
 
 Parallel execution (``workers > 1``) uses one persistent process pool for
 the whole sweep -- not one pool per bin -- so worker startup is paid once
-and every worker's analysis cache stays warm across the bins.  When the
-sweep generated its own workload, workers receive compact ``(generation
-spec, bin, index, scheme)`` descriptors and regenerate the task sets
-locally (the generator is deterministic in its seed) instead of
-unpickling every TaskSet; explicitly supplied task sets are shipped
-pickled.  The ``workers=1`` path runs the same jobs inline and is exactly
-the sequential protocol.
+and every worker's analysis cache stays warm across the bins.  A job is a
+``(workload, scheme, scenario, run)`` descriptor: every job of a sweep
+shares one :class:`~repro.harness.runner.RunSpec`, and when the sweep
+generated its own workload, the workload reference names a task set by
+(generation spec, bin, index) so workers regenerate or load it locally
+(the generator is deterministic in its seed) instead of unpickling every
+TaskSet; explicitly supplied task sets are shipped pickled.  The
+``workers=1`` path runs the same jobs inline and is exactly the
+sequential protocol.
 
 Sweeps never consume execution traces -- each job reduces to (energy,
 violations) -- so ``collect_trace=False`` runs every job stats-only and
@@ -56,16 +58,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..energy.dvfs import resolve_dvfs
 from ..energy.power import PowerModel
 from ..errors import ConfigurationError, UnknownSchemeError
 from ..faults.scenario import FaultScenario
-from ..model.history import normalize_initial_history
 from ..model.taskset import TaskSet
 from ..sim.validation import ValidationIssue
 from ..workload.fastgen import GenerationStats, generate_single_bin
 from ..workload.generator import GeneratorConfig, generate_binned_tasksets
-from ..workload.release import resolve_release_model
 from .events import (
     BATCH_PROGRESS,
     GENERATION,
@@ -86,7 +85,7 @@ from .genstore import (
     generation_digest,
 )
 from .journal import RunJournal
-from .runner import PAPER_SCHEMES, SCHEME_FACTORIES, run_scheme
+from .runner import PAPER_SCHEMES, SCHEME_FACTORIES, RunSpec, execute_run
 from .stats import confidence_interval95, mean
 from .validate import audit_scheme
 
@@ -151,8 +150,8 @@ def _taskset_digest(taskset: TaskSet) -> str:
 #: (from the shared :class:`GenerationStore` or by replaying that bin's
 #: RNG stream), so its generation cost scales with its job shard, not
 #: the whole sweep.  Only the latest spec's bins are retained.
-#: ``_WORKER_TASKSETS`` is the legacy full-spec memo, kept as the last
-#: resort when neither a store entry nor a bin RNG state is available.
+#: ``_WORKER_TASKSETS`` is the full-spec memo behind the store-miss
+#: recovery path (a store entry that vanished or failed verification).
 _WORKER_BIN_TASKSETS: Dict[tuple, List[TaskSet]] = {}
 _WORKER_TASKSETS: Dict[tuple, Dict[Tuple[float, float], List[TaskSet]]] = {}
 _WORKER_STORES: Dict[str, GenerationStore] = {}
@@ -161,17 +160,26 @@ _WORKER_STORES: Dict[str, GenerationStore] = {}
 #: bins and how many *full sweeps* this process has regenerated.
 _WORKER_GEN_COUNTS = {"bins": 0, "full": 0, "store_bins": 0}
 
+#: A generated workload's identity: ``(bins, sets_per_bin, generator
+#: config, seed)``.
+GenerationSpec = Tuple[
+    Tuple[Tuple[float, float], ...], int, Optional[GeneratorConfig], Optional[int]
+]
+
+
+def _spec_key(spec: GenerationSpec) -> tuple:
+    bins, sets_per_bin, config, seed = spec
+    return (bins, sets_per_bin, _config_key(config), seed)
+
 
 def _regenerated_tasksets(
-    bins: Tuple[Tuple[float, float], ...],
-    sets_per_bin: int,
-    config: Optional[GeneratorConfig],
-    seed: Optional[int],
+    spec: GenerationSpec,
 ) -> Dict[Tuple[float, float], List[TaskSet]]:
-    key = (bins, sets_per_bin, _config_key(config), seed)
+    """The whole generation, regenerated (store-miss recovery)."""
+    key = _spec_key(spec)
     cached = _WORKER_TASKSETS.get(key)
     if cached is None:
-        cached = generate_binned_tasksets(list(bins), sets_per_bin, config, seed)
+        cached = generate_binned_tasksets(*spec)
         _WORKER_GEN_COUNTS["full"] += 1
         _WORKER_TASKSETS.clear()
         _WORKER_TASKSETS[key] = cached
@@ -186,26 +194,18 @@ def _retain_spec(spec_key: tuple) -> None:
 
 
 def _worker_bin_tasksets(
-    bins: Tuple[Tuple[float, float], ...],
-    sets_per_bin: int,
-    config: Optional[GeneratorConfig],
-    seed: Optional[int],
+    spec: GenerationSpec,
     bin_range: Tuple[float, float],
-    rng_state: Optional[tuple],
+    rng_state: tuple,
 ) -> List[TaskSet]:
     """One bin's task sets, regenerated from that bin's RNG state."""
-    spec_key = (bins, sets_per_bin, _config_key(config), seed)
+    spec_key = _spec_key(spec)
     key = (spec_key, bin_range)
     cached = _WORKER_BIN_TASKSETS.get(key)
     if cached is None:
-        if rng_state is None:
-            # No per-bin entry point -- fall back to the full spec.
-            return _regenerated_tasksets(bins, sets_per_bin, config, seed)[
-                bin_range
-            ]
         _retain_spec(spec_key)
         cached = generate_single_bin(
-            bin_range, sets_per_bin, config, rng_state=rng_state
+            bin_range, spec[1], spec[2], rng_state=rng_state
         )
         _WORKER_GEN_COUNTS["bins"] += 1
         _WORKER_BIN_TASKSETS[key] = cached
@@ -215,10 +215,7 @@ def _worker_bin_tasksets(
 def _store_bin_tasksets(
     root: str,
     digest: str,
-    bins: Tuple[Tuple[float, float], ...],
-    sets_per_bin: int,
-    config: Optional[GeneratorConfig],
-    seed: Optional[int],
+    spec: GenerationSpec,
     bin_range: Tuple[float, float],
 ) -> List[TaskSet]:
     """One bin's task sets, loaded from the shared generation store.
@@ -226,7 +223,7 @@ def _store_bin_tasksets(
     A vanished or corrupt store entry degrades to full regeneration (the
     store itself warns) -- slower, never wrong.
     """
-    spec_key = (bins, sets_per_bin, _config_key(config), seed)
+    spec_key = _spec_key(spec)
     key = (spec_key, bin_range)
     cached = _WORKER_BIN_TASKSETS.get(key)
     if cached is None:
@@ -235,13 +232,37 @@ def _store_bin_tasksets(
             store = _WORKER_STORES.setdefault(root, GenerationStore(root))
         cached = store.get_bin(digest, bin_range)
         if cached is None:
-            return _regenerated_tasksets(bins, sets_per_bin, config, seed)[
-                bin_range
-            ]
+            return _regenerated_tasksets(spec)[bin_range]
         _retain_spec(spec_key)
         _WORKER_GEN_COUNTS["store_bins"] += 1
         _WORKER_BIN_TASKSETS[key] = cached
     return cached
+
+
+def _workload_taskset(ref: tuple) -> TaskSet:
+    """The task set a job descriptor's workload reference names.
+
+    * ``("set", taskset)`` carries a pickled TaskSet (explicitly
+      supplied workloads and the inline ``workers=1`` path);
+    * ``("genbin", spec, bin_range, rng_state, index)`` carries the RNG
+      state at the start of that bin's fill loop, so the worker
+      regenerates *only* the referenced bin (:func:`_worker_bin_tasksets`);
+    * ``("store", store_root, digest, spec, bin_range, index)`` loads the
+      referenced bin's shard from the shared :class:`GenerationStore`
+      (:func:`_store_bin_tasksets`), regenerating nothing on a warm store.
+    """
+    kind = ref[0]
+    if kind == "set":
+        return ref[1]
+    if kind == "genbin":
+        _, spec, bin_range, rng_state, index = ref
+        return _worker_bin_tasksets(spec, bin_range, rng_state)[index]
+    if kind == "store":
+        _, root, digest, spec, bin_range, index = ref
+        return _store_bin_tasksets(root, digest, spec, bin_range)[index]
+    raise ConfigurationError(  # pragma: no cover - built in this module
+        f"unknown sweep workload kind {kind!r}"
+    )
 
 
 #: Test-only fault injection: when this environment variable names an
@@ -265,28 +286,9 @@ def _maybe_crash_for_tests() -> None:
 def _run_one(job: tuple) -> Tuple[float, int, int]:
     """Module-level worker so ProcessPoolExecutor can pickle it.
 
-    ``job`` is a descriptor tuple (every kind's tail is ``scheme,
-    scenario, horizon_cap_units, collect_trace, fold, power_model,
-    release_model, initial_history, dvfs``):
-
-    * ``("set", taskset, scheme, scenario, horizon_cap_units,
-      collect_trace, fold, power_model, release_model,
-      initial_history)`` carries a pickled TaskSet (used for explicitly
-      supplied workloads and for the inline ``workers=1`` path);
-    * ``("gen", bins, sets_per_bin, config, seed, bin_range, index,
-      scheme, ...)`` names a task set by position within a deterministic
-      generation, regenerated worker-side via :data:`_WORKER_TASKSETS`
-      (legacy full-sweep path, kept as the fallback);
-    * ``("genbin", bins, sets_per_bin, config, seed, bin_range,
-      rng_state, index, scheme, ...)`` additionally carries the RNG
-      state at the start of that bin's fill loop, so the worker
-      regenerates *only* the referenced bin
-      (:func:`_worker_bin_tasksets`);
-    * ``("store", store_root, digest, bins, sets_per_bin, config, seed,
-      bin_range, index, scheme, ...)`` loads the referenced bin's shard
-      from the shared :class:`GenerationStore`
-      (:func:`_store_bin_tasksets`), regenerating nothing at all on a
-      warm store.
+    ``job`` is a descriptor ``(workload, scheme, scenario, run)``:
+    a workload reference (see :func:`_workload_taskset`), the scheme
+    name, the fault scenario, and the sweep's :class:`RunSpec`.
 
     Returns ``(total energy, mk violations, cycles folded)``.  The third
     element is observability-only: the sweep splits it off into the
@@ -295,68 +297,8 @@ def _run_one(job: tuple) -> Tuple[float, int, int]:
     metrics themselves are).
     """
     _maybe_crash_for_tests()
-    kind = job[0]
-    (
-        scheme,
-        scenario,
-        horizon_cap_units,
-        collect_trace,
-        fold,
-        power_model,
-        release_model,
-        initial_history,
-        dvfs,
-    ) = job[-9:]
-    if kind == "set":
-        taskset = job[1]
-    elif kind == "gen":
-        (_, bins, sets_per_bin, config, seed, bin_range, index) = job[:7]
-        taskset = _regenerated_tasksets(bins, sets_per_bin, config, seed)[
-            bin_range
-        ][index]
-    elif kind == "genbin":
-        (
-            _,
-            bins,
-            sets_per_bin,
-            config,
-            seed,
-            bin_range,
-            rng_state,
-            index,
-        ) = job[:8]
-        taskset = _worker_bin_tasksets(
-            bins, sets_per_bin, config, seed, bin_range, rng_state
-        )[index]
-    elif kind == "store":
-        (
-            _,
-            store_root,
-            store_digest,
-            bins,
-            sets_per_bin,
-            config,
-            seed,
-            bin_range,
-            index,
-        ) = job[:9]
-        taskset = _store_bin_tasksets(
-            store_root, store_digest, bins, sets_per_bin, config, seed, bin_range
-        )[index]
-    else:  # pragma: no cover - descriptors are built in this module
-        raise ConfigurationError(f"unknown sweep job kind {kind!r}")
-    outcome = run_scheme(
-        taskset,
-        scheme,
-        scenario=scenario,
-        horizon_cap_units=horizon_cap_units,
-        power_model=power_model,
-        collect_trace=collect_trace,
-        fold=fold,
-        release_model=release_model,
-        initial_history=initial_history,
-        dvfs=dvfs,
-    )
+    workload, scheme, scenario, run = job
+    outcome = execute_run(_workload_taskset(workload), scheme, scenario, run)
     return (
         outcome.total_energy,
         outcome.metrics.mk_violations,
@@ -402,11 +344,7 @@ def _execute_batch_jobs(
     journal: Optional[RunJournal],
     completed: Dict[str, Any],
     events: EventLog,
-    horizon_cap_units: int,
-    power_model: Optional[PowerModel],
-    release_model=None,
-    initial_history: str = "met",
-    dvfs=None,
+    run: RunSpec,
 ) -> List[Tuple[str, Any]]:
     """The ``backend="batch"`` execution path of the sweep.
 
@@ -440,16 +378,7 @@ def _execute_batch_jobs(
     scalar: List[int] = []
     for index in pending:
         taskset, scheme, scenario = specs[index]
-        item = build_batch_item(
-            taskset,
-            scheme,
-            scenario,
-            horizon_cap_units=horizon_cap_units,
-            power_model=power_model,
-            release_model=release_model,
-            initial_history=initial_history,
-            dvfs=dvfs,
-        )
+        item = build_batch_item(taskset, scheme, scenario, **run.knobs())
         if item is None:
             scalar.append(index)
         else:
@@ -897,15 +826,7 @@ class ExecutionRequest:
         journal: started journal to append finished jobs to, or None.
         completed: ``{key: payload}`` resumed from the journal.
         events: the run's event log.
-        horizon_cap_units: simulation horizon cap per job.
-        power_model: energy model shared by every job (None = default).
-        release_model: arrival process shared by every job (None = the
-            paper's periodic releases); non-periodic models make jobs
-            non-batchable, like transient faults do.
-        initial_history: (m,k)-history boundary condition per job.
-        dvfs: resolved :class:`~repro.energy.dvfs.DVFSConfig` shared by
-            every job (None = fixed frequency); jobs of schemes it
-            applies to are non-batchable and run on the scalar engine.
+        run: the :class:`RunSpec` every job runs under.
     """
 
     jobs: Sequence[Any]
@@ -916,11 +837,7 @@ class ExecutionRequest:
     journal: Optional[RunJournal]
     completed: Dict[str, Any]
     events: EventLog
-    horizon_cap_units: int
-    power_model: Optional[PowerModel]
-    release_model: Any = None
-    initial_history: str = "met"
-    dvfs: Any = None
+    run: RunSpec
 
 
 class ExecutionDriver:
@@ -1000,11 +917,7 @@ class BatchDriver(ExecutionDriver):
             journal=request.journal,
             completed=request.completed,
             events=request.events,
-            horizon_cap_units=request.horizon_cap_units,
-            power_model=request.power_model,
-            release_model=request.release_model,
-            initial_history=request.initial_history,
-            dvfs=request.dvfs,
+            run=request.run,
         )
 
 
@@ -1141,27 +1054,20 @@ def _sweep_fingerprint(
     reference_scheme: str,
     generator_config: Optional[GeneratorConfig],
     seed: Optional[int],
-    horizon_cap_units: int,
     supplied_tasksets: Optional[Dict[Tuple[float, float], List[TaskSet]]],
-    power_model: Optional[PowerModel] = None,
-    release_model=None,
-    initial_history: str = "met",
-    dvfs=None,
+    run: RunSpec,
 ) -> Dict[str, Any]:
     """JSON-able identity of a sweep, for journal header validation.
 
-    Execution-mode knobs (``collect_trace``, ``fold``, ``workers``,
-    ``backend``, timeouts) are deliberately absent: the engine
-    guarantees identical metrics in every mode, so a journal written
-    stats-only, folded, or on the batch backend resumes a trace-mode
-    pool sweep -- and vice versa -- with bitwise-equal payloads.  A non-default ``power_model`` *is* part of the identity
-    (it changes every energy payload); the default (None) is omitted so
-    journals recorded before the knob existed still resume.  The same
-    conditional-inclusion rule covers ``release_model`` (None = the
-    paper's periodic arrivals), ``initial_history`` (``"met"`` = the
-    paper's boundary condition), and ``dvfs`` (None = fixed-frequency
-    processors): non-defaults change every payload, so they enter the
-    identity; defaults stay absent for backward journal compatibility.
+    The fixed keys plus :meth:`RunSpec.canonical`: a non-default run knob
+    (power model, release model, initial history, DVFS) changes every
+    payload, so it enters the identity; defaults stay absent so journals
+    recorded before a knob existed still resume.  Execution-mode knobs
+    (``collect_trace``, ``fold``, ``workers``, ``backend``, timeouts) are
+    deliberately absent: the engine guarantees identical metrics in
+    every mode, so a journal written stats-only, folded, or on the batch
+    backend resumes a trace-mode pool sweep -- and vice versa -- with
+    bitwise-equal payloads.
     """
     if supplied_tasksets is None:
         workload: Any = "generated"
@@ -1172,26 +1078,18 @@ def _sweep_fingerprint(
             ]
             for key, tasksets in sorted(supplied_tasksets.items())
         }
-    fingerprint = {
+    return {
         "kind": "utilization_sweep",
         "bins": [[float(lo), float(hi)] for lo, hi in bins],
         "schemes": list(schemes),
         "reference_scheme": reference_scheme,
         "sets_per_bin": int(sets_per_bin),
         "seed": seed,
-        "horizon_cap_units": int(horizon_cap_units),
+        "horizon_cap_units": int(run.horizon_cap_units),
         "generator_config": repr(_config_key(generator_config)),
         "workload": workload,
+        **run.canonical(),
     }
-    if power_model is not None:
-        fingerprint["power_model"] = repr(power_model)
-    if release_model is not None:
-        fingerprint["release_model"] = release_model.as_dict()
-    if initial_history != "met":
-        fingerprint["initial_history"] = initial_history
-    if dvfs is not None:
-        fingerprint["dvfs"] = dvfs.as_dict()
-    return fingerprint
 
 
 def utilization_sweep(
@@ -1338,16 +1236,17 @@ def utilization_sweep(
         workers = 1
     if resume and not journal_path:
         raise ConfigurationError("resume=True requires journal_path")
-    if fold and collect_trace:
-        raise ConfigurationError(
-            "fold=True requires collect_trace=False (folding is exact "
-            "for aggregate stats, not for traces)"
-        )
+    run = RunSpec(
+        horizon_cap_units=horizon_cap_units,
+        power_model=power_model,
+        release_model=release_model,
+        initial_history=initial_history,
+        dvfs=dvfs,
+        collect_trace=collect_trace,
+        fold=fold,
+    )
     if validate < 0:
         raise ConfigurationError(f"validate must be >= 0, got {validate}")
-    release_model = resolve_release_model(release_model)
-    initial_history = normalize_initial_history(initial_history)
-    dvfs = resolve_dvfs(dvfs)
     policy = ExecutionPolicy(
         job_timeout=job_timeout,
         max_retries=max_retries,
@@ -1356,7 +1255,7 @@ def utilization_sweep(
 
     log = events if events is not None else EventLog()
     supplied = tasksets_by_bin is not None
-    generated_spec: Optional[tuple] = None
+    generated_spec: Optional[GenerationSpec] = None
     fingerprint = _sweep_fingerprint(
         bins,
         schemes,
@@ -1364,12 +1263,8 @@ def utilization_sweep(
         reference_scheme,
         generator_config,
         seed,
-        horizon_cap_units,
         tasksets_by_bin,
-        power_model,
-        release_model,
-        initial_history,
-        dvfs,
+        run,
     )
     gen_store: Optional[GenerationStore] = (
         GenerationStore(generation_store)
@@ -1473,33 +1368,15 @@ def utilization_sweep(
                     job_keys.append(
                         f"u{key[0]:g}-{key[1]:g}|set{index}|{scheme}"
                     )
-                if ship_spec:
-                    if gen_store is not None and gen_digest is not None:
-                        jobs.append(
-                            ("store", gen_store.root, gen_digest,
-                             *generated_spec, key, index, scheme, scenario,
-                             horizon_cap_units, collect_trace, fold,
-                             power_model, release_model, initial_history,
-                             dvfs)
-                        )
-                    else:
-                        bin_state = (
-                            gen_stats.bin_states.get(key)
-                            if gen_stats is not None
-                            else None
-                        )
-                        jobs.append(
-                            ("genbin", *generated_spec, key, bin_state, index,
-                             scheme, scenario, horizon_cap_units,
-                             collect_trace, fold, power_model, release_model,
-                             initial_history, dvfs)
-                        )
+                if not ship_spec:
+                    workload: tuple = ("set", taskset)
+                elif gen_store is not None:
+                    workload = ("store", gen_store.root, gen_digest,
+                                generated_spec, key, index)
                 else:
-                    jobs.append(
-                        ("set", taskset, scheme, scenario, horizon_cap_units,
-                         collect_trace, fold, power_model, release_model,
-                         initial_history, dvfs)
-                    )
+                    workload = ("genbin", generated_spec, key,
+                                gen_stats.bin_states[key], index)
+                jobs.append((workload, scheme, scenario, run))
 
     log.emit(
         RUN_START,
@@ -1529,11 +1406,7 @@ def utilization_sweep(
                 journal=journal,
                 completed=completed,
                 events=log,
-                horizon_cap_units=horizon_cap_units,
-                power_model=power_model,
-                release_model=release_model,
-                initial_history=initial_history,
-                dvfs=dvfs,
+                run=run,
             )
         )
     finally:
@@ -1615,7 +1488,7 @@ def utilization_sweep(
         # auditor needs traces and performs its own differential
         # re-runs); dropped pairs are excluded -- their runs never
         # entered the aggregates.
-        audit_modes = ("trace", "stats") + (("fold",) if fold else ())
+        audit_modes = ("trace", "stats") + (("fold",) if run.fold else ())
         candidates: List[Tuple[Tuple[float, float], int, int, TaskSet]] = []
         audit_counter = 0
         for bin_range in bins:
@@ -1635,12 +1508,8 @@ def utilization_sweep(
                     taskset,
                     scheme,
                     scenario=scenario,
-                    horizon_cap_units=horizon_cap_units,
                     modes=audit_modes,
-                    power_model=power_model,
-                    release_model=release_model,
-                    initial_history=initial_history,
-                    dvfs=dvfs,
+                    **run.knobs(),
                 )
                 log.emit(
                     VALIDATE,

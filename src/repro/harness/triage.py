@@ -778,7 +778,7 @@ def _panel_outliers(
     from ..sim.export import write_result
     from ..workload.generator import generate_binned_tasksets
     from .figures import panel_scenario_factory
-    from .runner import run_scheme
+    from .runner import execute_run
 
     pool = generate_binned_tasksets(
         list(protocol.bins),
@@ -799,6 +799,7 @@ def _panel_outliers(
         for lo, hi in protocol.bins
     }
     scenario_factory = panel_scenario_factory(panel, protocol)
+    run = protocol.run_spec()
     trace_dir = os.path.join(options.out_dir, "traces")
     os.makedirs(trace_dir, exist_ok=True)
     findings: List[OutlierFinding] = []
@@ -816,27 +817,10 @@ def _panel_outliers(
         trace_paths: Dict[str, str] = {}
         for scheme in (HEADLINE_SCHEME, HEADLINE_VERSUS):
             report = audit_scheme(
-                taskset,
-                scheme,
-                scenario=scenario,
-                horizon_cap_units=protocol.horizon_cap_units,
-                power_model=protocol.power_model(),
-                release_model=protocol.release_model,
-                initial_history=protocol.initial_history,
-                dvfs=protocol.dvfs,
+                taskset, scheme, scenario=scenario, **run.knobs()
             )
             issues += len(report.issues)
-            outcome = run_scheme(
-                taskset,
-                scheme,
-                scenario=scenario,
-                horizon_cap_units=protocol.horizon_cap_units,
-                power_model=protocol.power_model(),
-                collect_trace=True,
-                release_model=protocol.release_model,
-                initial_history=protocol.initial_history,
-                dvfs=protocol.dvfs,
-            )
+            outcome = execute_run(taskset, scheme, scenario, run)
             path = os.path.join(
                 trace_dir,
                 _slug(f"{panel}--{bin_label}-set{index}-{scheme}") + ".json",

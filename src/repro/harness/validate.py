@@ -27,6 +27,7 @@ spurious ``mode-divergence`` issues.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -45,7 +46,7 @@ from ..sim.validation import (
     compare_ledgers,
     result_ledger,
 )
-from .runner import SCHEME_FACTORIES, run_scheme
+from .runner import SCHEME_FACTORIES, RunSpec, execute_run
 
 #: The execution modes the auditor can cover, in audit order.  Trace is
 #: always run (it is the differential reference) even when absent here.
@@ -168,19 +169,15 @@ def audit_scheme(
         raise ConfigurationError(
             f"unknown audit mode(s) {unknown}; known: {list(AUDIT_MODES)}"
         )
-    spec = conformance_spec(taskset, scheme, horizon_cap_units)
-    model = power_model or PowerModel.paper_default()
-    reference = run_scheme(
-        taskset,
-        scheme,
-        scenario=scenario,
+    run = RunSpec(
         horizon_cap_units=horizon_cap_units,
-        power_model=model,
-        collect_trace=True,
+        power_model=power_model,
         release_model=release_model,
         initial_history=initial_history,
         dvfs=dvfs,
     )
+    spec = conformance_spec(taskset, scheme, horizon_cap_units)
+    reference = execute_run(taskset, scheme, scenario, run)
     reference_ledger = result_ledger(reference.result)
     audits = []
     for mode in AUDIT_MODES:
@@ -188,22 +185,16 @@ def audit_scheme(
             continue
         if mode == "trace":
             issues = audit_result(
-                reference.result, spec, initial_history_met=initial_history
+                reference.result, spec, initial_history_met=run.initial_history
             )
             issues += audit_energy(reference.result, reference.energy)
             audits.append(ModeAudit(mode="trace", issues=tuple(issues)))
             continue
-        outcome = run_scheme(
+        outcome = execute_run(
             taskset,
             scheme,
-            scenario=scenario,
-            horizon_cap_units=horizon_cap_units,
-            power_model=model,
-            collect_trace=False,
-            fold=(mode == "fold"),
-            release_model=release_model,
-            initial_history=initial_history,
-            dvfs=dvfs,
+            scenario,
+            dataclasses.replace(run, collect_trace=False, fold=mode == "fold"),
         )
         issues = compare_ledgers(
             reference_ledger, result_ledger(outcome.result), label=mode

@@ -9,8 +9,6 @@
   (Algorithm 1): FD = 1 optionals only, alternating processors, backups
   postponed by θ_i.
 * :class:`SingleProcessorFP`      -- plain FP substrate (no sparing).
-* :class:`DistanceBasedPriority`  -- DBP extension baseline (Hamdaoui &
-  Ramanathan) on a single processor.
 """
 
 from .base import run_policy
@@ -20,7 +18,6 @@ from .greedy import MKSSGreedy
 from .selective import MKSSSelective
 from .hybrid import MKSSHybrid, selective_execution_rate
 from .fp import SingleProcessorFP
-from .dbp import DistanceBasedPriority
 from .reexecution import ReExecutionFP
 
 __all__ = [
@@ -32,6 +29,5 @@ __all__ = [
     "MKSSHybrid",
     "selective_execution_rate",
     "SingleProcessorFP",
-    "DistanceBasedPriority",
     "ReExecutionFP",
 ]

@@ -26,13 +26,12 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Optional, Tuple
 
-from ..energy.dvfs import DVFSConfig, resolve_dvfs
+from ..energy.dvfs import DVFSConfig
 from ..errors import ConfigurationError
 from ..harness.protocol import DEFAULT_BINS, ExperimentProtocol
-from ..harness.runner import PAPER_SCHEMES, SCHEME_FACTORIES
+from ..harness.runner import PAPER_SCHEMES, SCHEME_FACTORIES, RunSpec
 from ..harness.sweep import _sweep_fingerprint, resolve_driver
-from ..model.history import INITIAL_HISTORY_MODES
-from ..workload.release import ReleaseModel, resolve_release_model
+from ..workload.release import ReleaseModel
 
 #: Fault regimes, mapping onto the Figure 6 panels.
 FAULT_REGIMES = ("none", "permanent", "transient")
@@ -40,6 +39,22 @@ FAULT_REGIMES = ("none", "permanent", "transient")
 
 def _default_scale() -> ExperimentProtocol:
     return ExperimentProtocol.smoke()
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _typed(payload: Dict[str, Any], key: str, kind: type, label: str) -> Any:
+    """``payload[key]``, which must be of JSON type ``kind``.
+
+    No coercion: a float, bool, or string where an integer belongs would
+    otherwise be served under the digest of a sweep nobody asked for.
+    """
+    value = payload[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ConfigurationError(f"{key} must be {label}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -69,18 +84,11 @@ class SweepSpec:
     dvfs: Optional[DVFSConfig] = None
 
     def __post_init__(self) -> None:
-        # Normalizes periodic models to None so an explicit periodic
-        # submission digests identically to the historical default; the
-        # same rule maps a no-op DVFS config (critical speed 1) to None.
-        object.__setattr__(
-            self, "release_model", resolve_release_model(self.release_model)
-        )
-        object.__setattr__(self, "dvfs", resolve_dvfs(self.dvfs))
-        if self.initial_history not in INITIAL_HISTORY_MODES:
-            raise ConfigurationError(
-                f"initial_history must be one of {INITIAL_HISTORY_MODES}, "
-                f"got {self.initial_history!r}"
-            )
+        # The RunSpec normalizes periodic models and no-op DVFS configs
+        # to None, so explicit defaults digest like the historical ones.
+        run = self.run_spec()
+        for name in ("release_model", "initial_history", "dvfs"):
+            object.__setattr__(self, name, getattr(run, name))
         if self.faults not in FAULT_REGIMES:
             raise ConfigurationError(
                 f"unknown faults regime {self.faults!r}; "
@@ -105,18 +113,21 @@ class SweepSpec:
             raise ConfigurationError(
                 f"sets_per_bin must be >= 1, got {self.sets_per_bin}"
             )
-        if self.horizon_cap_units < 1:
-            raise ConfigurationError(
-                f"horizon_cap_units must be >= 1, got {self.horizon_cap_units}"
-            )
         if self.validate < 0:
             raise ConfigurationError(
                 f"validate must be >= 0, got {self.validate}"
             )
-        if self.fold and self.collect_trace:
-            raise ConfigurationError(
-                "fold=true requires collect_trace=false"
-            )
+
+    def run_spec(self) -> RunSpec:
+        """The spec's per-run knobs and execution mode."""
+        return RunSpec(
+            horizon_cap_units=self.horizon_cap_units,
+            release_model=self.release_model,
+            initial_history=self.initial_history,
+            dvfs=self.dvfs,
+            collect_trace=self.collect_trace,
+            fold=self.fold,
+        )
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "SweepSpec":
@@ -137,42 +148,41 @@ class SweepSpec:
                 f"unknown sweep-spec key(s) {unknown}; known: {sorted(known)}"
             )
         kwargs: Dict[str, Any] = {}
-        try:
-            if "faults" in payload:
-                kwargs["faults"] = str(payload["faults"])
-            if "bins" in payload:
-                kwargs["bins"] = tuple(
-                    (float(lo), float(hi)) for lo, hi in payload["bins"]
+        for key in ("faults", "reference_scheme", "backend", "initial_history"):
+            if key in payload:
+                kwargs[key] = _typed(payload, key, str, "a JSON string")
+        for key in ("sets_per_bin", "seed", "horizon_cap_units", "validate"):
+            if key in payload:
+                kwargs[key] = _typed(payload, key, int, "a JSON integer")
+        for key in ("collect_trace", "fold"):
+            if key in payload:
+                kwargs[key] = _typed(payload, key, bool, "a JSON boolean")
+        if "bins" in payload:
+            bins = _typed(payload, "bins", list, "a JSON list")
+            for pair in bins:
+                if not (
+                    isinstance(pair, list)
+                    and len(pair) == 2
+                    and all(_is_number(bound) for bound in pair)
+                ):
+                    raise ConfigurationError(
+                        f"each bin must be a [lo, hi] pair of numbers, "
+                        f"got {pair!r}"
+                    )
+            kwargs["bins"] = tuple((float(lo), float(hi)) for lo, hi in bins)
+        if "schemes" in payload:
+            schemes = _typed(payload, "schemes", list, "a JSON list")
+            if not all(isinstance(scheme, str) for scheme in schemes):
+                raise ConfigurationError(
+                    f"schemes must be a list of strings, got {schemes!r}"
                 )
-            if "schemes" in payload:
-                kwargs["schemes"] = tuple(str(s) for s in payload["schemes"])
-            if "reference_scheme" in payload:
-                kwargs["reference_scheme"] = str(payload["reference_scheme"])
-            for key in ("sets_per_bin", "seed", "horizon_cap_units", "validate"):
-                if key in payload:
-                    kwargs[key] = int(payload[key])
-            if "backend" in payload:
-                kwargs["backend"] = str(payload["backend"])
-            for key in ("collect_trace", "fold"):
-                if key in payload:
-                    value = payload[key]
-                    if not isinstance(value, bool):
-                        raise ConfigurationError(
-                            f"{key} must be a JSON boolean, got {value!r}"
-                        )
-                    kwargs[key] = value
-            if "release_model" in payload:
-                # A preset name, a {"kind": ...} document, or null;
-                # resolve_release_model in __post_init__ validates it.
-                kwargs["release_model"] = payload["release_model"]
-            if "initial_history" in payload:
-                kwargs["initial_history"] = str(payload["initial_history"])
-            if "dvfs" in payload:
-                # A {"alpha": ...} document or null; resolve_dvfs in
-                # __post_init__ validates it.
-                kwargs["dvfs"] = payload["dvfs"]
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed sweep spec: {exc}") from exc
+            kwargs["schemes"] = tuple(schemes)
+        # A preset name, a {"kind": ...} document, or null for the release
+        # model; an {"alpha": ...} document or null for DVFS.  The
+        # RunSpec built in __post_init__ validates both.
+        for key in ("release_model", "dvfs"):
+            if key in payload:
+                kwargs[key] = payload[key]
         return cls(**kwargs)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -191,12 +201,7 @@ class SweepSpec:
             "validate": self.validate,
         }
         # Conditional keys keep pre-knob job documents byte-identical.
-        if self.release_model is not None:
-            payload["release_model"] = self.release_model.as_dict()
-        if self.initial_history != "met":
-            payload["initial_history"] = self.initial_history
-        if self.dvfs is not None:
-            payload["dvfs"] = self.dvfs.as_dict()
+        payload.update(self.run_spec().canonical())
         return payload
 
     def journal_fingerprint(self) -> Dict[str, Any]:
@@ -208,12 +213,8 @@ class SweepSpec:
             self.reference_scheme,
             None,  # generator config: service sweeps use the defaults
             self.seed,
-            self.horizon_cap_units,
             None,  # workload is always generated server-side
-            None,  # power model: the paper default
-            release_model=self.release_model,
-            initial_history=self.initial_history,
-            dvfs=self.dvfs,
+            self.run_spec(),
         )
 
     def identity(self) -> Dict[str, Any]:
@@ -258,18 +259,15 @@ class SweepSpec:
             schemes=list(self.schemes),
             sets_per_bin=self.sets_per_bin,
             seed=self.seed,
-            horizon_cap_units=self.horizon_cap_units,
             workers=workers,
             backend=self.backend,
             journal_path=journal_path,
             resume=resume,
             force_new=force_new,
             events=events,
-            collect_trace=self.collect_trace,
-            fold=self.fold,
             validate=self.validate,
             generation_store=generation_store,
-            release_model=self.release_model,
-            initial_history=self.initial_history,
-            dvfs=self.dvfs,
+            collect_trace=self.collect_trace,
+            fold=self.fold,
+            **self.run_spec().knobs(),
         )

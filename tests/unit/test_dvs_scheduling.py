@@ -1,4 +1,4 @@
-"""Unit tests for DVS-enabled scheduling support."""
+"""Unit tests for the uniform DVS slowdown bound."""
 
 from __future__ import annotations
 
@@ -7,28 +7,20 @@ from fractions import Fraction
 import pytest
 
 from repro.analysis.schedulability import is_rpattern_schedulable
+from repro.analysis.sensitivity import scale_wcets
 from repro.energy.dvs import DVSModel
 from repro.energy.dvs_scheduling import (
     clamp_to_critical_speed,
-    dvs_energy_of,
     max_uniform_slowdown,
-    slowed_taskset,
 )
-from repro.errors import ConfigurationError
-from repro.schedulers import MKSSDualPriority
-from repro.schedulers.base import run_policy
 
 
 class TestSlowdown:
     def test_slowed_set_remains_schedulable(self, fig1):
         slowdown = max_uniform_slowdown(fig1)
         assert slowdown >= 1
-        slowed = slowed_taskset(fig1, slowdown)
+        slowed = scale_wcets(fig1, slowdown)
         assert is_rpattern_schedulable(slowed)
-
-    def test_slowdown_below_one_rejected(self, fig1):
-        with pytest.raises(ConfigurationError):
-            slowed_taskset(fig1, Fraction(1, 2))
 
     def test_clamp_to_critical_speed(self):
         model = DVSModel(alpha=3.0, static_power=0.2, min_speed=0.05)
@@ -62,74 +54,3 @@ class TestSlowdown:
         model = DVSModel(alpha=3.0, static_power=1.999, min_speed=0.05)
         assert model.critical_speed() > 1023 / 1024
         assert clamp_to_critical_speed(Fraction(100), model) == 1
-
-
-class TestDVSEnergy:
-    def _trace(self, fig1, slowdown=Fraction(1)):
-        ts = slowed_taskset(fig1, slowdown) if slowdown != 1 else fig1
-        base = ts.timebase()
-        horizon = 20 * base.ticks_per_unit
-        result = run_policy(ts, MKSSDualPriority(), horizon, base)
-        return result, base, horizon
-
-    def test_full_speed_matches_flat_accounting(self, fig1):
-        result, base, horizon = self._trace(fig1)
-        model = DVSModel(alpha=3.0, static_power=0.0)
-        energy = dvs_energy_of(
-            result.trace, base, horizon, [1.0, 1.0], model
-        )
-        # power_at(1) = 1, so this is plain busy time = 15.
-        assert energy == pytest.approx(15.0)
-
-    def test_bad_speed_rejected(self, fig1):
-        result, base, horizon = self._trace(fig1)
-        with pytest.raises(ConfigurationError):
-            dvs_energy_of(result.trace, base, horizon, [0.0, 1.0])
-
-    def test_speed_below_min_speed_rejected(self, fig1):
-        """Regression: a speed in (0, min_speed) used to be silently
-        charged at min_speed; it must be rejected instead."""
-        result, base, horizon = self._trace(fig1)
-        model = DVSModel(alpha=3.0, static_power=0.05, min_speed=0.3)
-        with pytest.raises(ConfigurationError):
-            dvs_energy_of(result.trace, base, horizon, [0.2, 1.0], model)
-
-    def test_no_leakage_slowdown_saves_energy(self, fig1):
-        """Without static power, slowing down always helps (s^2 factor)."""
-        model = DVSModel(alpha=3.0, static_power=0.0, min_speed=0.05)
-        fast_result, base, horizon = self._trace(fig1)
-        fast = dvs_energy_of(
-            fast_result.trace, base, horizon, [1.0, 1.0], model
-        )
-        slow_result, slow_base, _ = self._trace(fig1, Fraction(5, 4))
-        slow_horizon = 20 * slow_base.ticks_per_unit
-        speed = 1 / 1.25
-        slow = dvs_energy_of(
-            slow_result.trace, slow_base, slow_horizon, [speed, speed], model
-        )
-        assert slow < fast
-
-    def test_heavy_leakage_makes_slowdown_counterproductive(self, fig1):
-        """With dominant static power the critical speed rises above the
-        slowed speed (0.8 < (1.5/2)^(1/3) ~ 0.91), so the slowed schedule
-        costs more -- the paper's justification for DPD over DVS."""
-        model = DVSModel(alpha=3.0, static_power=1.5, min_speed=0.05)
-        fast_result, base, horizon = self._trace(fig1)
-        fast = dvs_energy_of(
-            fast_result.trace, base, horizon, [1.0, 1.0], model
-        )
-        slow_result, slow_base, _ = self._trace(fig1, Fraction(5, 4))
-        slow_horizon = 20 * slow_base.ticks_per_unit
-        speed = 1 / 1.25
-        slow = dvs_energy_of(
-            slow_result.trace, slow_base, slow_horizon, [speed, speed], model
-        )
-        assert slow > fast
-
-    def test_idle_static_power_added(self, fig1):
-        result, base, horizon = self._trace(fig1)
-        without = dvs_energy_of(result.trace, base, horizon, [1.0, 1.0])
-        with_idle = dvs_energy_of(
-            result.trace, base, horizon, [1.0, 1.0], idle_static_power=0.1
-        )
-        assert with_idle > without

@@ -1,11 +1,11 @@
-"""Unit tests for the substrate FP scheduler and the DBP extension."""
+"""Unit tests for the substrate FP scheduler."""
 
 from __future__ import annotations
 
 from repro.faults.scenario import FaultScenario
 from repro.model.task import Task
 from repro.model.taskset import TaskSet
-from repro.schedulers import DistanceBasedPriority, SingleProcessorFP
+from repro.schedulers import SingleProcessorFP
 from repro.schedulers.base import run_policy
 from repro.sim.engine import PRIMARY, SPARE
 
@@ -40,36 +40,3 @@ class TestSingleProcessorFP:
         result = run(ts, SingleProcessorFP(), 8)
         assert not result.all_mk_satisfied()
         assert result.trace.outcomes_for_task(0) == [True] * 4
-
-
-class TestDistanceBasedPriority:
-    def test_urgent_jobs_preempt_flexible_ones(self):
-        """A distance-1 (FD 0) job enters the MJQ above all optionals."""
-        ts = TaskSet([Task(10, 10, 6, 1, 2), Task(10, 10, 6, 2, 2)])
-        result = run(ts, DistanceBasedPriority(), 10)
-        # tau2 is hard (FD 0 at release) and must run first despite lower
-        # FP priority; tau1 (FD 1) runs after it and misses.
-        first = result.trace.segments_on(PRIMARY)[0]
-        assert first.task_index == 1
-
-    def test_skip_beyond_distance_two(self):
-        ts = TaskSet([Task(10, 10, 2, 1, 5)])
-        result = run(ts, DistanceBasedPriority(run_all=False), 50)
-        skipped = [
-            r
-            for r in result.trace.records.values()
-            if r.classified_as == "skipped"
-        ]
-        assert skipped  # FD 4,3 at the start are skipped
-
-    def test_run_all_executes_everything_feasible(self):
-        ts = TaskSet([Task(10, 10, 2, 1, 5)])
-        result = run(ts, DistanceBasedPriority(run_all=True), 50)
-        assert all(
-            r.classified_as in ("optional", "mandatory")
-            for r in result.trace.records.values()
-        )
-
-    def test_mk_satisfied_when_feasible(self, fig1):
-        result = run(fig1, DistanceBasedPriority(), 20)
-        assert result.all_mk_satisfied()

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError, ModelError
 from repro.harness.protocol import ExperimentProtocol
+from repro.harness.runner import RunSpec
 from repro.harness.sweep import _sweep_fingerprint
 from repro.model.history import (
     INITIAL_HISTORY_MODES,
@@ -185,20 +186,21 @@ class TestProtocolKnobs:
 
 
 class TestSweepFingerprint:
-    ARGS = ([(0.2, 0.3)], ["MKSS_ST"], 2, "MKSS_ST", None, 7, 100, None, None)
+    ARGS = ([(0.2, 0.3)], ["MKSS_ST"], 2, "MKSS_ST", None, 7, None)
+
+    def _fingerprint(self, **knobs):
+        run = RunSpec(horizon_cap_units=100, **knobs)
+        return _sweep_fingerprint(*self.ARGS, run)
 
     def test_periodic_fingerprint_unchanged(self):
-        default = _sweep_fingerprint(*self.ARGS)
-        explicit = _sweep_fingerprint(
-            *self.ARGS, release_model=None, initial_history="met"
-        )
+        default = self._fingerprint()
+        explicit = self._fingerprint(release_model=None, initial_history="met")
         assert explicit == default
         assert "release_model" not in default
         assert "initial_history" not in default
 
     def test_non_default_knobs_enter_fingerprint(self):
-        fp = _sweep_fingerprint(
-            *self.ARGS,
+        fp = self._fingerprint(
             release_model=ReleaseModel.preset("light", seed=4),
             initial_history="miss",
         )
@@ -208,4 +210,4 @@ class TestSweepFingerprint:
             "seed": 4,
         }
         assert fp["initial_history"] == "miss"
-        assert fp != _sweep_fingerprint(*self.ARGS)
+        assert fp != self._fingerprint()

@@ -292,7 +292,7 @@ class TestDropAsPair:
         real = sweep_module._run_one
 
         def sabotaged(job):
-            scheme = job[2]  # ("set", taskset, scheme, ...)
+            scheme = job[1]  # (workload, scheme, scenario, run)
             if scheme == "MKSS_DP" and sabotaged.armed:
                 sabotaged.armed = False
                 sabotaged.tripped = True

@@ -6,6 +6,7 @@ import pytest
 
 from repro.harness.events import GENERATION, EventLog
 from repro.harness.genstore import GenerationStore, generation_digest
+from repro.harness.runner import RunSpec
 from repro.harness.sweep import (
     _WORKER_BIN_TASKSETS,
     _WORKER_GEN_COUNTS,
@@ -44,11 +45,21 @@ def _generated(stats=None):
     )
 
 
+RUN = RunSpec(horizon_cap_units=300, collect_trace=False)
+
+
+def _spec(spec_bins):
+    return (spec_bins, 2, None, 11)
+
+
 def _genbin_job(spec_bins, bin_range, state, index, scheme="MKSS_ST"):
-    return (
-        "genbin", spec_bins, 2, None, 11, bin_range, state, index, scheme,
-        None, 300, False, False, None, None, "met", None,
-    )
+    workload = ("genbin", _spec(spec_bins), bin_range, state, index)
+    return (workload, scheme, None, RUN)
+
+
+def _store_job(root, digest, spec_bins, index):
+    workload = ("store", root, digest, _spec(spec_bins), BINS[0], index)
+    return (workload, "MKSS_ST", None, RUN)
 
 
 class TestShardedWorkerRegeneration:
@@ -87,12 +98,6 @@ class TestShardedWorkerRegeneration:
                 assert got[0] == expected.total_energy
                 assert got[1] == expected.metrics.mk_violations
 
-    def test_missing_bin_state_falls_back_to_full_regeneration(self):
-        spec_bins = tuple(tuple(b) for b in BINS)
-        _run_one(_genbin_job(spec_bins, BINS[0], None, 0))
-        assert _WORKER_GEN_COUNTS["full"] == 1
-        assert _WORKER_GEN_COUNTS["bins"] == 0
-
     def test_store_backed_worker_generates_nothing(self, tmp_path):
         root = str(tmp_path / "gen")
         corpus = _generated()
@@ -100,12 +105,7 @@ class TestShardedWorkerRegeneration:
         GenerationStore(root).put(digest, corpus)
         spec_bins = tuple(tuple(b) for b in BINS)
         for index in range(2):
-            job = (
-                "store", root, digest, spec_bins, 2, None, 11, BINS[0],
-                index, "MKSS_ST", None, 300, False, False, None, None, "met",
-                None,
-            )
-            _run_one(job)
+            _run_one(_store_job(root, digest, spec_bins, index))
         assert _WORKER_GEN_COUNTS == {
             "bins": 0,
             "full": 0,
@@ -117,11 +117,8 @@ class TestShardedWorkerRegeneration:
         GenerationStore(root)  # empty store
         digest = generation_digest(BINS, 2, None, 11)
         spec_bins = tuple(tuple(b) for b in BINS)
-        job = (
-            "store", root, digest, spec_bins, 2, None, 11, BINS[0],
-            0, "MKSS_ST", None, 300, False, False, None, None, "met", None,
-        )
-        _run_one(job)  # absent entry: silent fallback, still correct
+        # absent entry: silent fallback, still correct
+        _run_one(_store_job(root, digest, spec_bins, 0))
         assert _WORKER_GEN_COUNTS["full"] == 1
 
 

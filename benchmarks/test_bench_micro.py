@@ -27,7 +27,8 @@ def _workload(seed=4242, target=0.5):
 
 
 def _aligned_taskset():
-    """Harmonic periods, k_i * P_i | lcm(P): folds at every 20ms cycle."""
+    """Harmonic periods, k_i * P_i | lcm(P): the schedule repeats every
+    20ms cycle."""
     return TaskSet(
         [
             Task(5, 5, 1, 1, 2),
@@ -69,11 +70,7 @@ def test_engine_stats_only_long_horizon(benchmark):
 
 
 def test_engine_aligned_long_horizon(benchmark):
-    """Stats-only 2000ms run of the phase-aligned set, cycle by cycle.
-
-    The exact-simulation comparator for ``test_engine_folded_long_horizon``
-    (same workload, same mode, folding off).
-    """
+    """Stats-only 2000ms run of the phase-aligned set, cycle by cycle."""
     taskset = _aligned_taskset()
     base = taskset.timebase()
     horizon = 2000 * base.ticks_per_unit
@@ -85,48 +82,6 @@ def test_engine_aligned_long_horizon(benchmark):
 
     result = benchmark(run)
     benchmark.extra_info["released_jobs"] = result.released_jobs
-    assert result.cycles_folded == 0
-
-
-def test_engine_folded_long_horizon(benchmark):
-    """The same 2000ms aligned run with cycle folding on: ~100 cycles of
-    schedule collapse into one simulated cycle plus arithmetic."""
-    taskset = _aligned_taskset()
-    base = taskset.timebase()
-    horizon = 2000 * base.ticks_per_unit
-
-    def run():
-        return run_policy(
-            taskset, MKSSSelective(), horizon, base,
-            collect_trace=False, fold=True,
-        )
-
-    result = benchmark(run)
-    benchmark.extra_info["cycles_folded"] = result.cycles_folded
-    benchmark.extra_info["fold_cycle_ticks"] = result.fold_cycle_ticks
-    assert result.cycles_folded > 90
-
-
-def test_engine_folded_self_disable_sporadic(benchmark):
-    """fold=True on a sporadic timeline: the fold arm must bail out and
-    run the exact stats-mode simulation, costing no more than a plain
-    stats run of the same workload (the self-disable regression bench)."""
-    from repro.workload.release import ReleaseModel
-
-    taskset = _aligned_taskset()
-    base = taskset.timebase()
-    horizon = 2000 * base.ticks_per_unit
-    model = ReleaseModel.preset("light", seed=1)
-
-    def run():
-        return run_policy(
-            taskset, MKSSSelective(), horizon, base,
-            collect_trace=False, fold=True, release_model=model,
-        )
-
-    result = benchmark(run)
-    benchmark.extra_info["released_jobs"] = result.released_jobs
-    assert result.cycles_folded == 0
 
 
 def test_engine_dvfs_speed_scaled(benchmark):
@@ -259,7 +214,7 @@ def test_bench_batch_sweep(benchmark, bench_tasksets):
     payloads = benchmark(lambda: run_batch_payloads(items))
     benchmark.extra_info["sims"] = len(items)
     assert len(payloads) == len(items)
-    assert all(energy > 0 for energy, _, _ in payloads)
+    assert all(energy > 0 for energy, _ in payloads)
 
 
 def test_workload_generation(benchmark):

@@ -3,8 +3,10 @@
 
 Executes ``benchmarks/test_bench_micro.py`` under pytest-benchmark with
 JSON output, then compares each benchmark's *minimum* time (the least
-noise-sensitive statistic) against the ``baseline`` section of the
-committed ``BENCH_micro.json``.  Any benchmark more than ``--threshold``
+noise-sensitive statistic) against the committed ``BENCH_micro.json``:
+a full run against its ``baseline`` section, a ``--quick`` run against
+``baseline_quick`` (quick mode trims the sweep-sized fixtures, so its
+numbers are only comparable with other quick numbers).  Any benchmark more than ``--threshold``
 (default 20%) slower than its baseline minimum fails the run, so
 performance regressions in the simulator substrate are caught the same
 way functional regressions are.
@@ -24,11 +26,15 @@ to benchmarks matching a pytest ``-k`` expression -- the CI smoke job
 uses it to gate merges on the engine-path benchmarks only.
 
 The hard gate (without ``--advisory``) also fails, with exit code 2, when
-a measured benchmark has no baseline entry: it could regress unseen.
+a measured benchmark has no baseline entry, or when an unselected run
+lacks a baselined benchmark (skipped or deleted): either could regress
+unseen.
 
-``--update-baseline`` rewrites the ``baseline`` section from the current
-run (preserving the recorded ``pre_pr`` reference numbers); commit the
-result when a deliberate performance change shifts the expected numbers.
+``--update-baseline`` rewrites the run mode's section (``baseline``, or
+``baseline_quick`` with ``--quick``) from the current run, preserving
+the other sections and the recorded ``pre_pr`` reference numbers; commit
+the result when a deliberate performance change shifts the expected
+numbers.
 """
 
 from __future__ import annotations
@@ -177,6 +183,7 @@ def main(argv=None) -> int:
         help="rewrite the baseline section from this run",
     )
     args = parser.parse_args(argv)
+    section = "baseline_quick" if args.quick else "baseline"
 
     report = run_benchmarks(quick=args.quick, select=args.select)
     current = stats_by_name(report)
@@ -191,19 +198,20 @@ def main(argv=None) -> int:
                 existing = json.load(fh)
         if args.select:
             # A selected run only refreshes the benchmarks it measured.
-            existing.setdefault("baseline", {}).update(current)
+            existing.setdefault(section, {}).update(current)
         else:
-            existing["baseline"] = current
+            existing[section] = current
         existing.setdefault("pre_pr", {})
         existing["note"] = (
-            "min/mean microbenchmark times in microseconds; 'baseline' is "
-            "the regression reference for scripts/bench_compare.py, "
+            "min/mean microbenchmark times in microseconds; 'baseline' "
+            "(full runs) and 'baseline_quick' (--quick runs) are the "
+            "regression references for scripts/bench_compare.py, "
             "'pre_pr' records the numbers before the hot-path overhaul."
         )
         with open(args.baseline, "w") as fh:
             json.dump(existing, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        print(f"baseline updated: {args.baseline}")
+        print(f"baseline updated: {args.baseline} ({section})")
         return 0
 
     if not args.baseline.exists():
@@ -212,16 +220,26 @@ def main(argv=None) -> int:
     with open(args.baseline) as fh:
         baseline = json.load(fh)
 
-    print(f"comparing against {args.baseline} (threshold {args.threshold:.0%}):")
-    reference = baseline.get("baseline", {})
+    print(
+        f"comparing against {args.baseline} [{section}] "
+        f"(threshold {args.threshold:.0%}):"
+    )
+    reference = baseline.get(section, {})
     if args.select:
         reference = {
             name: entry for name, entry in reference.items() if name in current
         }
     regressions, unbaselined = compare(current, reference, args.threshold)
+    missing = sorted(set(reference) - set(current))
     if regressions:
         print(f"{len(regressions)} benchmark(s) regressed beyond threshold")
         return 0 if args.advisory else 1
+    if missing:
+        print(
+            f"{len(missing)} baselined benchmark(s) were not measured; "
+            "delete their entries if they were removed on purpose"
+        )
+        return 0 if args.advisory else 2
     if unbaselined:
         print(
             f"{len(unbaselined)} benchmark(s) have no baseline; record "

@@ -60,9 +60,7 @@ def period_hyperperiod_ticks(taskset: TaskSet, timebase: TimeBase) -> int:
 
     Strictly smaller than (a divisor of) the (m,k)-hyperperiod: the
     release pattern repeats every period-LCM, while the mandatory/optional
-    classification phase takes up to ``k_i`` more cycles to realign.  The
-    simulator's cycle-folding detector snapshots at these boundaries and
-    carries the classification phase in the snapshot instead.
+    classification phase takes up to ``k_i`` more cycles to realign.
     """
     return lcm_ticks(timebase.to_ticks(task.period) for task in taskset.tasks)
 

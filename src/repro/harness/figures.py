@@ -126,7 +126,6 @@ def _run_panel(
     job_timeout: Optional[float] = None,
     events=None,
     collect_trace: bool = True,
-    fold: bool = False,
     validate: int = 0,
     generation_store=None,
     release_model=None,
@@ -165,7 +164,6 @@ def _run_panel(
         job_timeout=job_timeout,
         events=events,
         collect_trace=collect_trace,
-        fold=fold,
         validate=validate,
         generation_store=generation_store,
         **run.knobs(),

@@ -73,9 +73,9 @@ class RunSpec:
 
     The knob fields change results, so non-default values enter every
     identity built off a run (journal fingerprints, sweep digests,
-    protocol reports) through :meth:`canonical`.  The execution-mode
-    pair ``collect_trace`` / ``fold`` never changes a result (the engine
-    guarantees equal metrics in every mode) and never enters an identity.
+    protocol reports) through :meth:`canonical`.  The execution mode
+    ``collect_trace`` never changes a result (the engine guarantees
+    equal metrics in both modes) and never enters an identity.
     A sweep builds one RunSpec and hands it to every job.
 
     Attributes:
@@ -95,9 +95,7 @@ class RunSpec:
             paper's fixed-frequency processors.  Only applies to the
             schemes the config names.
         collect_trace: False runs stats-only -- same energy and metrics,
-            no trace; required by ``fold``.
-        fold: enable the engine's cycle-folding fast path (self-disables
-            on non-periodic timelines).
+            no trace.
     """
 
     horizon_cap_units: int = 2000
@@ -106,7 +104,6 @@ class RunSpec:
     initial_history: str = "met"
     dvfs: Optional[DVFSConfig] = None
     collect_trace: bool = True
-    fold: bool = False
 
     def __post_init__(self) -> None:
         if self.horizon_cap_units < 1:
@@ -125,15 +122,10 @@ class RunSpec:
             ) from None
         object.__setattr__(self, "initial_history", history)
         object.__setattr__(self, "dvfs", resolve_dvfs(self.dvfs))
-        if self.fold and self.collect_trace:
-            raise ConfigurationError(
-                "fold=True requires collect_trace=False (folding is exact "
-                "for aggregate stats, not for traces)"
-            )
 
     def knobs(self) -> Dict[str, Any]:
         """The knob fields, as keywords of :func:`run_scheme` and the
-        other flat-signature entry points (mode fields excluded)."""
+        other flat-signature entry points (``collect_trace`` excluded)."""
         return {
             "horizon_cap_units": self.horizon_cap_units,
             "power_model": self.power_model,
@@ -211,7 +203,6 @@ def execute_run(
         scenario,
         execution_time_fn,
         collect_trace=run.collect_trace,
-        fold=run.fold,
         release_timeline=timeline,
         initial_history=run.initial_history,
         speed_plan=speed_plan_of(taskset, scheme, run),
@@ -235,7 +226,6 @@ def run_scheme(
     power_model: Optional[PowerModel] = None,
     execution_time_fn=None,
     collect_trace: bool = True,
-    fold: bool = False,
     release_model=None,
     initial_history: str = "met",
     dvfs=None,
@@ -248,9 +238,8 @@ def run_scheme(
         scenario: fault scenario (default fault-free).
         execution_time_fn: optional actual-execution-time model
             (see :mod:`repro.workload.acet`); None charges full WCETs.
-        horizon_cap_units, power_model, collect_trace, fold,
-        release_model, initial_history, dvfs: the :class:`RunSpec`
-            fields of the run.
+        horizon_cap_units, power_model, collect_trace, release_model,
+        initial_history, dvfs: the :class:`RunSpec` fields of the run.
     """
     run = RunSpec(
         horizon_cap_units=horizon_cap_units,
@@ -259,6 +248,5 @@ def run_scheme(
         initial_history=initial_history,
         dvfs=dvfs,
         collect_trace=collect_trace,
-        fold=fold,
     )
     return execute_run(taskset, scheme, scenario, run, execution_time_fn)

@@ -20,11 +20,9 @@ TaskSet; explicitly supplied task sets are shipped pickled.  The
 sequential protocol.
 
 Sweeps never consume execution traces -- each job reduces to (energy,
-violations) -- so ``collect_trace=False`` runs every job stats-only and
-``fold=True`` additionally enables the engine's cycle-folding fast path.
-Both modes are exact: payloads, journals, and aggregates are bitwise
-identical to trace-mode runs (per-job fold counts are reported on
-JOB_FINISH events, outside the checkpointed payload).
+violations) -- so ``collect_trace=False`` runs every job stats-only.
+Stats mode is exact: payloads, journals, and aggregates are bitwise
+identical to trace-mode runs.
 
 Resilience (this module's execution layer, :func:`execute_jobs`):
 
@@ -283,40 +281,21 @@ def _maybe_crash_for_tests() -> None:
     os._exit(17)
 
 
-def _run_one(job: tuple) -> Tuple[float, int, int]:
+def _run_one(job: tuple) -> Tuple[float, int]:
     """Module-level worker so ProcessPoolExecutor can pickle it.
 
     ``job`` is a descriptor ``(workload, scheme, scenario, run)``:
     a workload reference (see :func:`_workload_taskset`), the scheme
     name, the fault scenario, and the sweep's :class:`RunSpec`.
 
-    Returns ``(total energy, mk violations, cycles folded)``.  The third
-    element is observability-only: the sweep splits it off into the
-    event log before journaling/aggregating, so the checkpointed payload
-    is identical whatever the execution mode (the engine guarantees the
-    metrics themselves are).
+    Returns ``(total energy, mk violations)``, the checkpointed payload;
+    it is identical whatever the execution mode (the engine guarantees
+    the metrics are).
     """
     _maybe_crash_for_tests()
     workload, scheme, scenario, run = job
     outcome = execute_run(_workload_taskset(workload), scheme, scenario, run)
-    return (
-        outcome.total_energy,
-        outcome.metrics.mk_violations,
-        outcome.result.cycles_folded,
-    )
-
-
-def _split_fold_count(value):
-    """Separate a sweep worker value into (payload, event extras).
-
-    The journaled/aggregated payload is always ``(energy, violations)``;
-    a third element (cycles folded) becomes a JOB_FINISH event field.
-    Two-element values (pre-folding journals, resumed rows) pass through
-    unchanged.
-    """
-    if isinstance(value, (tuple, list)) and len(value) > 2:
-        return tuple(value[:2]), {"cycles_folded": value[2]}
-    return value, {}
+    return outcome.total_energy, outcome.metrics.mk_violations
 
 
 def _run_batch_chunk(items: list) -> list:
@@ -324,7 +303,7 @@ def _run_batch_chunk(items: list) -> list:
 
     ``items`` is a list of :class:`repro.sim.batch.BatchItem`; the whole
     chunk advances in lockstep on one vectorized kernel.  Returns one
-    ``(energy, violations, cycles_folded)`` payload per item, aligned
+    ``(energy, violations)`` payload per item, aligned
     with ``items`` -- exactly what :func:`_run_one` returns for the same
     job on the scalar engine.
     """
@@ -356,6 +335,9 @@ def _execute_batch_jobs(
     :func:`execute_jobs`, as does every batched job whose chunk failed.
     Journal rows carry the same keys and byte-identical payloads as the
     pool backend, so journals resume across backends in both directions.
+    A batched job's ``wall_s`` is its chunk's elapsed time divided evenly
+    among the chunk's jobs, so its JOB_FINISH event carries
+    ``apportioned=True``; scalar-fallback jobs are timed individually.
 
     Returns ``(tag, payload)`` per job, aligned with ``jobs`` -- the
     :func:`execute_jobs` contract.
@@ -384,9 +366,8 @@ def _execute_batch_jobs(
         else:
             items[index] = item
 
-    def finish(index: int, value: Any, wall_s: float) -> None:
+    def finish(index: int, payload: Any, wall_s: float) -> None:
         nonlocal done
-        payload, extras = _split_fold_count(value)
         results[index] = (OK, payload)
         done += 1
         if journal is not None:
@@ -402,7 +383,7 @@ def _execute_batch_jobs(
             attempt=1,
             wall_s=round(wall_s, 6),
             progress=f"{done}/{total}",
-            **extras,
+            apportioned=True,
         )
 
     batch_order = sorted(items)
@@ -496,7 +477,6 @@ def _execute_batch_jobs(
             policy=policy,
             journal=journal,
             events=log,
-            annotate=_split_fold_count,
         )
         for index, outcome in zip(scalar, outcomes):
             results[index] = outcome
@@ -580,7 +560,6 @@ def execute_jobs(
     journal: Optional[RunJournal] = None,
     completed: Optional[Dict[str, Any]] = None,
     events: Optional[EventLog] = None,
-    annotate: Optional[Callable[[Any], Tuple[Any, Dict[str, Any]]]] = None,
 ) -> List[Tuple[str, Any]]:
     """Run independent jobs with fault isolation, retries, checkpointing.
 
@@ -604,13 +583,6 @@ def execute_jobs(
         completed: ``{key: value}`` of jobs already done (from a journal
             resume); matching jobs are skipped and reported as ok.
         events: event log to emit into (a throwaway one when omitted).
-        annotate: optional ``value -> (payload, extras)`` splitter applied
-            to each fresh worker value before it is journaled, reported,
-            and returned; ``extras`` become additional JOB_FINISH event
-            fields.  Lets a worker return observability data (e.g. cycles
-            folded) without it entering the checkpointed payload.  Not
-            applied to resumed (``completed``) values, which are already
-            payloads.
 
     Failure semantics in the pool path: an exception raised *by the job*
     charges that job an attempt and retries after backoff; a pool break
@@ -642,9 +614,6 @@ def execute_jobs(
 
     def finish(index: int, value: Any, wall_s: float) -> None:
         nonlocal done
-        extras: Dict[str, Any] = {}
-        if annotate is not None:
-            value, extras = annotate(value)
         results[index] = (OK, value)
         done += 1
         if journal is not None:
@@ -660,7 +629,6 @@ def execute_jobs(
             attempt=attempts[index] + 1,
             wall_s=round(wall_s, 6),
             progress=f"{done}/{total}",
-            **extras,
         )
 
     def drop(index: int, reason: str) -> None:
@@ -885,7 +853,6 @@ class PoolDriver(ExecutionDriver):
             journal=request.journal,
             completed=request.completed,
             events=request.events,
-            annotate=_split_fold_count,
         )
 
 
@@ -1063,10 +1030,10 @@ def _sweep_fingerprint(
     (power model, release model, initial history, DVFS) changes every
     payload, so it enters the identity; defaults stay absent so journals
     recorded before a knob existed still resume.  Execution-mode knobs
-    (``collect_trace``, ``fold``, ``workers``, ``backend``, timeouts) are
+    (``collect_trace``, ``workers``, ``backend``, timeouts) are
     deliberately absent: the engine guarantees identical metrics in
-    every mode, so a journal written stats-only, folded, or on the batch
-    backend resumes a trace-mode pool sweep -- and vice versa -- with
+    every mode, so a journal written stats-only or on the batch backend
+    resumes a trace-mode pool sweep -- and vice versa -- with
     bitwise-equal payloads.
     """
     if supplied_tasksets is None:
@@ -1114,7 +1081,6 @@ def utilization_sweep(
     retry_backoff: float = 0.0,
     events: Optional[EventLog] = None,
     collect_trace: bool = True,
-    fold: bool = False,
     validate: int = 0,
     generation_store: "Optional[GenerationStore | str]" = None,
     release_model=None,
@@ -1179,15 +1145,10 @@ def utilization_sweep(
             trace is ever built); energies and violation counts are
             identical, wall clock is lower.  Sweeps never consume
             traces, so this is purely a speed knob.
-        fold: enable the engine's cycle-folding fast path in every job
-            (requires ``collect_trace=False``).  Fold counts surface as
-            ``cycles_folded`` on JOB_FINISH events; journal payloads are
-            unchanged.
         validate: sample up to this many aggregated task sets (evenly
             across the sweep) and run the conformance auditor
             (:func:`~repro.harness.validate.audit_scheme`) on every
-            scheme for each -- trace and stats modes, plus fold when the
-            sweep folds.  Findings land in
+            scheme for each, in trace and stats modes.  Findings land in
             :attr:`SweepResult.validation_issues` and are emitted as
             VALIDATE / VALIDATION_ISSUE events.  0 (default) disables
             sampling.
@@ -1202,8 +1163,7 @@ def utilization_sweep(
             name, or a model dict); None or a periodic model keeps the
             paper's strictly periodic releases (and the historical
             fingerprint).  Non-periodic models enter the journal
-            fingerprint, disarm cycle folding per run, and make every
-            job non-batchable (the batch backend falls back to the
+            fingerprint and make every job non-batchable (the batch backend falls back to the
             scalar engine per job, like transient faults).
         initial_history: (m,k)-history boundary condition for every job,
             one of :data:`repro.model.history.INITIAL_HISTORY_MODES`;
@@ -1243,7 +1203,6 @@ def utilization_sweep(
         initial_history=initial_history,
         dvfs=dvfs,
         collect_trace=collect_trace,
-        fold=fold,
     )
     if validate < 0:
         raise ConfigurationError(f"validate must be >= 0, got {validate}")
@@ -1488,7 +1447,7 @@ def utilization_sweep(
         # auditor needs traces and performs its own differential
         # re-runs); dropped pairs are excluded -- their runs never
         # entered the aggregates.
-        audit_modes = ("trace", "stats") + (("fold",) if run.fold else ())
+        audit_modes = ("trace", "stats")
         candidates: List[Tuple[Tuple[float, float], int, int, TaskSet]] = []
         audit_counter = 0
         for bin_range in bins:

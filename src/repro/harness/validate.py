@@ -12,11 +12,10 @@ hook of :func:`repro.harness.sweep.utilization_sweep`.  For one
    spec (:func:`~repro.sim.validation.audit_result`) and the energy
    report against the DPD rule
    (:func:`~repro.sim.validation.audit_energy`), and
-3. re-runs the *same* descriptor in any requested trace-less modes
-   (stats-only, cycle-folded) and requires their
-   :func:`~repro.sim.validation.result_ledger` to match the trace
+3. re-runs the *same* descriptor stats-only when requested and requires
+   its :func:`~repro.sim.validation.result_ledger` to match the trace
    run's exactly (cross-mode differential check) -- the trace-less
-   fast paths are thereby held to the fully audited reference.
+   fast path is thereby held to the fully audited reference.
 
 Determinism caveat: the differential check re-materializes the fault
 scenario once per mode, so the scenario must be reproducible from its
@@ -50,7 +49,7 @@ from .runner import SCHEME_FACTORIES, RunSpec, execute_run
 
 #: The execution modes the auditor can cover, in audit order.  Trace is
 #: always run (it is the differential reference) even when absent here.
-AUDIT_MODES = ("trace", "stats", "fold")
+AUDIT_MODES = ("trace", "stats")
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,6 @@ class ModeAudit:
 
     mode: str
     issues: Tuple[ValidationIssue, ...]
-    cycles_folded: int = 0
 
     @property
     def ok(self) -> bool:
@@ -148,10 +146,7 @@ def audit_scheme(
             additionally audits it against the conformance spec.
         power_model: energy model (default: the paper's).
         release_model: arrival process shared by every mode's run (None
-            = the paper's periodic releases).  Under a non-periodic
-            model the ``"fold"`` mode still runs -- folding self-disables
-            in the engine, so the audit doubles as a regression check
-            that the fallback matches the trace reference exactly.
+            = the paper's periodic releases).
         initial_history: (m,k)-history boundary condition shared by
             every mode's run (and by the FD replay of the trace audit).
         dvfs: deadline-safe frequency scaling
@@ -194,17 +189,11 @@ def audit_scheme(
             taskset,
             scheme,
             scenario,
-            dataclasses.replace(run, collect_trace=False, fold=mode == "fold"),
+            dataclasses.replace(run, collect_trace=False),
         )
         issues = compare_ledgers(
             reference_ledger, result_ledger(outcome.result), label=mode
         )
         issues += audit_energy(outcome.result, outcome.energy)
-        audits.append(
-            ModeAudit(
-                mode=mode,
-                issues=tuple(issues),
-                cycles_folded=outcome.result.cycles_folded,
-            )
-        )
+        audits.append(ModeAudit(mode=mode, issues=tuple(issues)))
     return AuditReport(scheme=scheme, modes=tuple(audits))

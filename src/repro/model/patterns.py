@@ -168,10 +168,9 @@ def is_window_periodic(pattern: Pattern) -> bool:
 
     Every pattern shipped here (R, E, rotated) is periodic in the window
     length; a user-supplied pattern of unknown provenance is not assumed
-    to be.  The cycle-folding fast path needs this distinction: a
-    window-periodic pattern's entire future is determined by the current
-    job-index phase, so two hyperperiod boundaries with equal phases see
-    identical classifications forever after.
+    to be.  The batch kernel needs this distinction: a window-periodic
+    pattern's classification is a fixed k-bit mask indexed by the
+    job-index phase.
     """
     return isinstance(pattern, _PeriodicPattern)
 

@@ -53,7 +53,3 @@ class SingleProcessorFP(SchedulingPolicy):
             ),
             max_copies=1,
         )
-
-    def fold_state(self, ctx: PolicyContext, pattern_phases):
-        # Stateless: every job is mandatory on a fixed processor.
-        return ()

@@ -138,8 +138,3 @@ class MKSSGreedy(SchedulingPolicy):
             ),
             sticky_optionals=not self.optional_preemption,
         )
-
-    def fold_state(self, ctx: PolicyContext, pattern_phases):
-        # All decisions derive from the flexibility degree (part of the
-        # engine's canonical state) and constants fixed at prepare().
-        return ()

@@ -251,9 +251,3 @@ class MKSSHybrid(SchedulingPolicy):
                     )
                 )
         return BatchProfile(tasks=tuple(tasks))
-
-    def fold_state(self, ctx: PolicyContext, pattern_phases):
-        # Mutable state: per-task optional-processor alternation plus the
-        # DP-mode tasks' static pattern phase (R-patterns, so always
-        # window-periodic).
-        return (tuple(self._next_optional_processor), pattern_phases)

@@ -195,8 +195,3 @@ class MKSSDualPriority(SchedulingPolicy):
                 )
             )
         return BatchProfile(tasks=tuple(tasks))
-
-    def fold_state(self, ctx: PolicyContext, pattern_phases):
-        # Promotions and main placement are fixed at prepare(); the only
-        # release-to-release variation is the pattern phase.
-        return self.fold_state_from_patterns(self._patterns, pattern_phases)

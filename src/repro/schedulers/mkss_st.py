@@ -115,7 +115,3 @@ class MKSSStatic(SchedulingPolicy):
                 for pattern in self._patterns
             ),
         )
-
-    def fold_state(self, ctx: PolicyContext, pattern_phases):
-        # The only release-to-release variation is the pattern phase.
-        return self.fold_state_from_patterns(self._patterns, pattern_phases)

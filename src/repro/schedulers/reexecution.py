@@ -132,10 +132,3 @@ class ReExecutionFP(SchedulingPolicy):
                 for _ in ctx.taskset
             ),
         )
-
-    def fold_state(self, ctx: PolicyContext, pattern_phases):
-        # Recovery budgets only accrue after transient faults, and the
-        # engine arms folding only when transients are impossible -- so
-        # a non-empty ledger means something unexpected happened and
-        # folding must stay off.
-        return () if not self._recovery_counts else None

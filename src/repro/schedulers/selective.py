@@ -197,8 +197,3 @@ class MKSSSelective(SchedulingPolicy):
                 for index in range(len(ctx.taskset))
             ),
         )
-
-    def fold_state(self, ctx: PolicyContext, pattern_phases):
-        # The optional-processor alternation is the only mutable state;
-        # everything else (θ, Y) is fixed at prepare().
-        return tuple(self._next_optional_processor)

@@ -11,7 +11,7 @@ because fault draws are deliberately *not* part of the journal
 fingerprint (they are rebuilt deterministically by the scenario factory)
 yet absolutely change the result a client gets back.  Two specs with
 equal :meth:`digest` are served the same stored result; execution-mode
-knobs (backend, collect_trace, fold, validate=0) are excluded from the
+knobs (backend, collect_trace, validate=0) are excluded from the
 identity exactly like the journal fingerprint excludes them -- the
 engine guarantees identical payloads in every mode, so a result computed
 on the batch backend is a legitimate cache hit for a pool-backend
@@ -77,7 +77,6 @@ class SweepSpec:
     )
     backend: str = "pool"
     collect_trace: bool = False
-    fold: bool = False
     validate: int = 0
     release_model: Optional[ReleaseModel] = None
     initial_history: str = "met"
@@ -126,7 +125,6 @@ class SweepSpec:
             initial_history=self.initial_history,
             dvfs=self.dvfs,
             collect_trace=self.collect_trace,
-            fold=self.fold,
         )
 
     @classmethod
@@ -135,14 +133,17 @@ class SweepSpec:
 
         Unknown keys are rejected -- a typoed knob silently falling back
         to its default would hand the client a sweep it did not ask for
-        (and a cache key it did not expect).
+        (and a cache key it did not expect).  The one exception is the
+        retired ``"fold"`` mode flag: job records persisted while it
+        existed still carry it, so a JSON boolean there is accepted and
+        discarded (it never entered the digest).
         """
         if not isinstance(payload, dict):
             raise ConfigurationError(
                 f"sweep spec must be a JSON object, got {type(payload).__name__}"
             )
         known = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - known)
+        unknown = sorted(set(payload) - known - {"fold"})
         if unknown:
             raise ConfigurationError(
                 f"unknown sweep-spec key(s) {unknown}; known: {sorted(known)}"
@@ -154,9 +155,12 @@ class SweepSpec:
         for key in ("sets_per_bin", "seed", "horizon_cap_units", "validate"):
             if key in payload:
                 kwargs[key] = _typed(payload, key, int, "a JSON integer")
-        for key in ("collect_trace", "fold"):
-            if key in payload:
-                kwargs[key] = _typed(payload, key, bool, "a JSON boolean")
+        if "collect_trace" in payload:
+            kwargs["collect_trace"] = _typed(
+                payload, "collect_trace", bool, "a JSON boolean"
+            )
+        if "fold" in payload:
+            _typed(payload, "fold", bool, "a JSON boolean")
         if "bins" in payload:
             bins = _typed(payload, "bins", list, "a JSON list")
             for pair in bins:
@@ -197,7 +201,6 @@ class SweepSpec:
             "horizon_cap_units": self.horizon_cap_units,
             "backend": self.backend,
             "collect_trace": self.collect_trace,
-            "fold": self.fold,
             "validate": self.validate,
         }
         # Conditional keys keep pre-knob job documents byte-identical.
@@ -268,6 +271,5 @@ class SweepSpec:
             validate=self.validate,
             generation_store=generation_store,
             collect_trace=self.collect_trace,
-            fold=self.fold,
             **self.run_spec().knobs(),
         )

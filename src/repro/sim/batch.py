@@ -25,7 +25,7 @@ structures:
   ``enqueue/remaining/processor`` columns;
 * per-processor dispatch state is an ``[S, 2]`` pair of column vectors
   (running task, its completion time), reusing the
-  :class:`~repro.sim.folding.RunStats` ledger layout for busy ticks and
+  :class:`~repro.sim.ledger.RunStats` ledger layout for busy ticks and
   the idle-gap multiset;
 * (m,k) histories are packed into plain integers, bit 0 = newest
   outcome: the flexibility-degree window keeps the newest ``k - 1``
@@ -82,7 +82,7 @@ from .engine import (
     SimulationError,
     SimulationResult,
 )
-from .folding import RunStats
+from .ledger import RunStats
 from .timeline import ReleaseTimeline
 
 try:  # pragma: no cover - import success is the normal path
@@ -268,13 +268,12 @@ def run_batch(
 def run_batch_payloads(
     items: List[BatchItem],
     progress: Optional[Callable[[int, int], None]] = None,
-) -> List[Tuple[float, int, int]]:
-    """Sweep-worker payloads ``(energy, violations, cycles_folded)``.
+) -> List[Tuple[float, int]]:
+    """Sweep-worker payloads ``(energy, violations)``.
 
     Identical to what :func:`repro.harness.sweep._run_one` produces for
     the same jobs -- energy accounted through the Fraction-exact
     counters path, violations through the shared counting definition.
-    The batch kernel never folds, so the third element is always 0.
     """
     from ..energy.accounting import energy_of_result
     from ..qos.metrics import collect_metrics
@@ -284,7 +283,7 @@ def run_batch_payloads(
     for item, result in zip(items, results):
         report = energy_of_result(result, model=item.power_model)
         metrics = collect_metrics(result)
-        payloads.append((report.total_energy, metrics.mk_violations, 0))
+        payloads.append((report.total_energy, metrics.mk_violations))
     return payloads
 
 
@@ -982,8 +981,6 @@ class _Kernel:
                         int(self.busy[s, 0]),
                         int(self.busy[s, 1]),
                     ),
-                    cycles_folded=0,
-                    fold_cycle_ticks=0,
                 )
             )
         return results

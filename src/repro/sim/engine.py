@@ -27,16 +27,8 @@ instead of self-chaining heap events.  Two execution modes exist:
   :class:`~repro.sim.trace.ExecutionTrace` with segments, records, and
   events -- what plots, exports, and debugging need;
 * **stats mode** (``collect_trace=False``): only the aggregate counters
-  downstream sweeps consume (:class:`~repro.sim.folding.RunStats`),
+  downstream sweeps consume (:class:`~repro.sim.ledger.RunStats`),
   skipping all segment/record/log construction.
-
-Stats mode additionally unlocks the **cycle-folding fast path**
-(``fold=True``): at hyperperiod boundaries the engine snapshots its
-canonical state (:mod:`repro.sim.snapshot`); when a snapshot repeats and
-no fault can still occur, the remaining whole cycles are folded
-analytically (:mod:`repro.sim.folding`) and exact simulation resumes for
-the residual partial cycle.  Folded results are bit-identical to
-unfolded ones.
 
 All times are integer ticks (see :mod:`repro.timebase`).
 """
@@ -44,11 +36,9 @@ All times are integer ticks (see :mod:`repro.timebase`).
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.hyperperiod import lcm_ticks
 from ..errors import ConfigurationError, SimulationError
 from ..model.history import (
     MKHistory,
@@ -56,18 +46,10 @@ from ..model.history import (
     normalize_initial_history,
 )
 from ..model.job import FINISHED_STATUSES, Job, JobOutcome, JobRole, JobStatus
-from ..model.patterns import is_window_periodic
 from ..model.taskset import TaskSet
 from ..timebase import TimeBase
-from .folding import RunStats, shift_state
+from .ledger import RunStats
 from .queues import ReadyQueue
-from .snapshot import (
-    EV_DEADLINE,
-    EV_ENQUEUE,
-    EV_PERMFAULT,
-    EV_RELEASE,
-    capture_state,
-)
 from .timeline import ReleaseTimeline
 from .trace import ExecutionTrace, LogicalJobRecord
 
@@ -78,17 +60,11 @@ SPARE = 1
 # Event kinds double as the ordering at equal ticks: permanent faults
 # strike first, then deadlines are judged, then new jobs arrive, then
 # postponed copies enqueue.  Integer kinds keep event dispatch off the
-# string-comparison path.  (Defined in snapshot.py so the folding
-# machinery can interpret heap entries; aliased here for the hot path.)
-_EV_PERMFAULT = EV_PERMFAULT
-_EV_DEADLINE = EV_DEADLINE
-_EV_RELEASE = EV_RELEASE
-_EV_ENQUEUE = EV_ENQUEUE
-
-#: How many distinct boundary states the folding detector retains before
-#: it stops looking for a recurrence (memory bound for pathological,
-#: never-settling runs).
-_MAX_FOLD_SNAPSHOTS = 64
+# string-comparison path.
+_EV_PERMFAULT = 0
+_EV_DEADLINE = 1
+_EV_RELEASE = 2
+_EV_ENQUEUE = 3
 
 
 @dataclass(frozen=True)
@@ -189,28 +165,6 @@ class SchedulingPolicy:
         """
         return None
 
-    def fold_state(self, ctx: PolicyContext, pattern_phases: Tuple[int, ...]):
-        """Hashable signature of the policy's mutable state, or None.
-
-        Cycle folding (see :mod:`repro.sim.snapshot`) may only treat two
-        hyperperiod boundaries as equivalent if the *policy* would also
-        behave identically from both.  Returning a hashable value
-        asserts exactly that: whenever the engine's canonical states and
-        these signatures agree at two boundaries, the policy's future
-        decisions agree too (its remaining mutable state, if any, is
-        time-translation invariant).
-
-        ``pattern_phases[i]`` is ``(jobs of task i released so far) mod
-        k_i`` -- the job-index phase a window-periodic static pattern
-        needs, since the folding cycle is the LCM of the *periods*, not
-        of ``k_i * P_i``.
-
-        The default returns None, which disables folding: a policy we
-        know nothing about may carry hidden mutable state.
-        """
-        return None
-
-
     def batch_profile(self, ctx: PolicyContext):
         """Closed-form release rules for the batch kernel, or None.
 
@@ -238,30 +192,13 @@ class SchedulingPolicy:
         """
         return None
 
-    def fold_state_from_patterns(
-        self, patterns, pattern_phases: Tuple[int, ...]
-    ):
-        """``pattern_phases`` when every pattern is window-periodic, else None.
-
-        Shared implementation for static-pattern policies: their only
-        release-to-release variation is the pattern phase, so the phase
-        tuple is a complete fold signature -- provided every pattern
-        really is periodic in its window (user-supplied patterns may not
-        be, in which case folding must stay off).
-        """
-        if patterns is not None and all(
-            is_window_periodic(pattern) for pattern in patterns
-        ):
-            return pattern_phases
-        return None
-
 
 TransientFaultFn = Callable[[Job, int], bool]
 """Callable deciding whether a completing copy suffered a transient fault.
 
 Receives the job copy and the completion tick; returns True on fault.
 A ``never_faults`` attribute set to True marks the callable as a
-statically-known no-op, which keeps the cycle-folding fast path legal.
+statically-known no-op.
 """
 
 ExecutionTimeFn = Callable[[int, int, int], int]
@@ -294,8 +231,6 @@ class SimulationResult:
     released_jobs: int = 0
     stats: Optional[RunStats] = None
     busy_by_processor: Optional[Tuple[int, ...]] = None
-    cycles_folded: int = 0
-    fold_cycle_ticks: int = 0
     #: The DVFS :class:`~repro.energy.dvfs.SpeedPlan` the run executed
     #: under, or None (every non-DVFS run).  Carried on the result so
     #: energy accounting and the conformance auditor can re-derive the
@@ -379,7 +314,6 @@ class StandbySparingEngine:
         initial_history_met: "str | bool" = True,
         execution_time_fn: Optional[ExecutionTimeFn] = None,
         collect_trace: bool = True,
-        fold: bool = False,
         release_timeline: Optional[ReleaseTimeline] = None,
         speed_plan: Optional[object] = None,
     ) -> None:
@@ -403,12 +337,6 @@ class StandbySparingEngine:
                 None charges every job its full WCET (the paper's model).
             collect_trace: when False, skip all trace construction and
                 produce aggregate stats only (sweep mode).
-            fold: enable the cycle-folding fast path; requires
-                ``collect_trace=False`` (a folded trace would have holes).
-                Folding additionally requires a fault-quiet tail -- it
-                arms only when no execution-time model is set and the
-                transient model is statically fault-free -- and a policy
-                whose :meth:`SchedulingPolicy.fold_state` cooperates.
             release_timeline: precomputed release sequence to reuse
                 across runs; must match (task set periods, horizon).
             speed_plan: DVFS :class:`~repro.energy.dvfs.SpeedPlan`.
@@ -421,11 +349,6 @@ class StandbySparingEngine:
         """
         if horizon_ticks <= 0:
             raise ConfigurationError(f"horizon must be positive, got {horizon_ticks}")
-        if fold and collect_trace:
-            raise ConfigurationError(
-                "cycle folding requires stats-only mode (collect_trace=False): "
-                "a folded run cannot materialize the skipped cycles' trace"
-            )
         if speed_plan is not None and execution_time_fn is not None:
             raise ConfigurationError(
                 "a DVFS speed plan cannot be combined with an "
@@ -447,7 +370,6 @@ class StandbySparingEngine:
         self._initial_history = normalize_initial_history(initial_history_met)
         self.execution_time_fn = execution_time_fn
         self.collect_trace = collect_trace
-        self.fold = fold
         self.release_timeline = release_timeline
         self.speed_plan = speed_plan
 
@@ -535,8 +457,7 @@ class StandbySparingEngine:
         released_jobs = 0
 
         # Per-processor busy/idle accounting (both modes; O(1) busy_ticks
-        # on the result).  ``busy_acc`` aliases stats.busy in stats mode
-        # so folding advances the same list.
+        # on the result).  ``busy_acc`` aliases stats.busy in stats mode.
         busy_acc = stats.busy if stats is not None else [0, 0]
         gap_counts = stats.gap_counts if stats is not None else None
         # Per-speed busy ledger (stats mode, DVFS runs only): trace runs
@@ -554,8 +475,7 @@ class StandbySparingEngine:
         tr_m = [task.mk.m for task in taskset]
         # Windows are packed into plain ints (bit 0 = newest outcome,
         # bit k-1 = oldest); ``tr_len`` counts outcomes seen until the
-        # window first fills.  (mask, length) encodes the deque contents
-        # bijectively, so snapshots stay canonical.
+        # window first fills.
         tr_window = [0] * task_count
         tr_len = [0] * task_count
         tr_ones = [0] * task_count
@@ -581,42 +501,6 @@ class StandbySparingEngine:
         if self.permanent_fault is not None:
             processor, tick = self.permanent_fault
             push_event(tick, _EV_PERMFAULT, processor)
-
-        # -- cycle folding setup --------------------------------------------
-        #
-        # fold_mode: 0 = off, 1 = waiting for the permanent fault to land,
-        # 2 = armed (snapshotting at boundaries), 3 = folded (done).
-        # Folding is legal only when the remaining run is a closed system:
-        # stats mode, WCET execution, no transient faults possible, and the
-        # permanent fault (if any) already injected.
-        fold_mode = 0
-        cycle_ticks = 0
-        next_boundary = 0
-        snapshots: Dict[tuple, Tuple[int, RunStats, Tuple[int, int]]] = {}
-        cycles_folded = 0
-        fold_cycle = 0
-        if (
-            self.fold
-            and not collect
-            # A non-periodic timeline has no hyperperiod recurrence: a
-            # snapshot match at one boundary says nothing about the next
-            # cycle's releases, so folding must self-disable (the run
-            # degrades to exact stats-mode simulation, not silent folds).
-            and timeline.periodic
-            and execution_time_fn is None
-            and (
-                transient_fault_fn is None
-                or getattr(transient_fault_fn, "never_faults", False)
-            )
-        ):
-            cycle_ticks = lcm_ticks(periods)
-            # The earliest possible fold needs two boundary visits plus at
-            # least one whole cycle before the horizon.
-            if cycle_ticks <= (horizon - 1) - cycle_ticks:
-                fold_mode = 1 if self.permanent_fault is not None else 2
-                next_boundary = cycle_ticks
-        policy_fold_state = policy.fold_state
-        tr_ks = tr_k  # alias for the phase computation below
 
         # -- helpers bound to local state -----------------------------------
 
@@ -842,11 +726,6 @@ class StandbySparingEngine:
             push_event(deadline, _EV_DEADLINE, task_index, job_index)
 
         def handle_permfault(processor: int, now: int) -> None:
-            nonlocal fold_mode
-            if fold_mode == 1:
-                # The fault has landed; from here on the run is a closed
-                # system and boundary snapshots become meaningful.
-                fold_mode = 2
             if not alive[processor]:
                 return
             alive[processor] = False
@@ -966,90 +845,6 @@ class StandbySparingEngine:
                     continue
                 break
 
-            # -- cycle folding: snapshot at hyperperiod boundaries ----------
-            if fold_mode == 2 and now == next_boundary:
-                phases = tuple(
-                    (now // periods[i]) % tr_ks[i] for i in range(task_count)
-                )
-                signature = policy_fold_state(ctx, phases)
-                if signature is not None:
-                    state = capture_state(
-                        now,
-                        periods,
-                        alive,
-                        ctx.dead_processor,
-                        histories,
-                        tuple(zip(tr_window, tr_len)),
-                        heap,
-                        mjq,
-                        ojq,
-                        current,
-                        sticky,
-                        logical,
-                        signature,
-                    )
-                    if state is not None:
-                        offsets = (now - gap_cursor[0], now - gap_cursor[1])
-                        prior = snapshots.get(state)
-                        if prior is not None:
-                            first_tick, base_stats, base_offsets = prior
-                            cycle = now - first_tick
-                            folds = (horizon - now - 1) // cycle
-                            busy_delta = (
-                                stats.busy[0] - base_stats.busy[0],
-                                stats.busy[1] - base_stats.busy[1],
-                            )
-                            # The per-cycle gap ledger is only foldable
-                            # when every gap-closing processor's open-gap
-                            # offset matches (the cycle's first closed
-                            # gap straddles the boundary and includes
-                            # it); an idle-through-the-cycle processor
-                            # closes no gaps, so its offset is free.
-                            offsets_ok = all(
-                                busy_delta[p] == 0
-                                or base_offsets[p] == offsets[p]
-                                for p in (PRIMARY, SPARE)
-                            )
-                            if folds >= 1 and offsets_ok:
-                                stats.fold(base_stats, folds)
-                                shift = folds * cycle
-                                for processor in (PRIMARY, SPARE):
-                                    if busy_delta[processor] > 0:
-                                        gap_cursor[processor] += shift
-                                shift_state(
-                                    shift,
-                                    [shift // p for p in periods],
-                                    heap,
-                                    mjq,
-                                    ojq,
-                                    current,
-                                    sticky,
-                                    pending,
-                                    logical,
-                                )
-                                cursor += folds * timeline.releases_per_span(
-                                    cycle
-                                )
-                                now += shift
-                                cycles_folded = folds
-                                fold_cycle = cycle
-                                fold_mode = 3
-                            elif not offsets_ok:
-                                # Same schedule state, different open-gap
-                                # prehistory.  Re-anchor on the current
-                                # boundary: the repeating schedule fixes
-                                # the offset of every busy processor at
-                                # the *next* visit, so that one folds.
-                                snapshots[state] = (now, stats.copy(), offsets)
-                        elif len(snapshots) < _MAX_FOLD_SNAPSHOTS:
-                            snapshots[state] = (now, stats.copy(), offsets)
-            if fold_mode in (1, 2):
-                next_boundary = (now // cycle_ticks + 1) * cycle_ticks
-                if next_boundary > (horizon - 1) - cycle_ticks:
-                    # No whole cycle can fit after the next boundary;
-                    # stop snapshotting (and stop pausing at boundaries).
-                    fold_mode = 0
-
             next_completion: Optional[int] = None
             for processor in (PRIMARY, SPARE):
                 if not alive[processor]:
@@ -1099,10 +894,6 @@ class StandbySparingEngine:
                 next_time = next_completion
             if next_time is None:
                 break
-            if fold_mode in (1, 2) and next_time > next_boundary:
-                # Pause at the boundary so the snapshot sees a canonical
-                # instant even when no event lands exactly there.
-                next_time = next_boundary
             if next_time < now:  # pragma: no cover - heap is monotone
                 raise SimulationError("time went backwards")
 
@@ -1162,9 +953,6 @@ class StandbySparingEngine:
                 if start < end:
                     counts = gap_counts[processor]
                     counts[end - start] = counts.get(end - start, 0) + 1
-            # Folding scaled the per-counter ledger; mirror the released
-            # count kept for the result (stats.released is authoritative).
-            released_jobs = stats.released
         return SimulationResult(
             taskset=taskset,
             timebase=base,
@@ -1176,7 +964,5 @@ class StandbySparingEngine:
             released_jobs=released_jobs,
             stats=stats,
             busy_by_processor=tuple(busy_acc),
-            cycles_folded=cycles_folded,
-            fold_cycle_ticks=fold_cycle,
             speed_plan=speed_plan,
         )

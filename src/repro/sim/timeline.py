@@ -44,8 +44,7 @@ class ReleaseTimeline:
         ticks / tasks / jobs: parallel tuples, one entry per release, in
             engine drain order; ``jobs`` holds 1-based job indices.
         period_ticks: per-task periods in ticks.
-        periodic: True when every release sits at ``(j - 1) * P_i`` --
-            the precondition for cycle folding's hyperperiod recurrence.
+        periodic: True when every release sits at ``(j - 1) * P_i``.
 
     Instances are immutable and safe to share across engines and threads;
     each engine keeps its own cursor into the tuples.
@@ -99,11 +98,6 @@ class ReleaseTimeline:
 
     def __len__(self) -> int:
         return len(self.ticks)
-
-    def releases_per_span(self, span_ticks: int) -> int:
-        """Releases inside any window of ``span_ticks`` ticks aligned to a
-        common period multiple (the cycle-folding cursor advance)."""
-        return sum(span_ticks // period for period in self.period_ticks)
 
     def __repr__(self) -> str:
         return (

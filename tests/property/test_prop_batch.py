@@ -5,8 +5,8 @@ simulations in lockstep over numpy arrays.  Its contract is *bit
 identity* with the scalar trace engine -- not statistical agreement --
 so these tests compare the full observable state (the RunStats ledger,
 per-processor busy counts, released-job counts, the permanent-fault
-record, energies, violation counts) across four execution modes: batch,
-trace, stats-only, and folded.
+record, energies, violation counts) across three execution modes:
+batch, trace, and stats-only.
 
 They also pin the harness composition: a ``backend="batch"`` sweep must
 produce byte-identical journal rows to the pool backend, resume a
@@ -97,14 +97,12 @@ class TestBatchScalarAgreement:
         )
         assert item is not None, "permanent-only jobs must be batchable"
         batch_result = run_batch([item])[0]
-        batch_energy, batch_violations, folded = run_batch_payloads([item])[0]
-        assert folded == 0  # the kernel never folds
+        batch_energy, batch_violations = run_batch_payloads([item])[0]
 
         views = {"batch": stats_view(batch_result)}
         for mode, kwargs in (
             ("trace", dict(collect_trace=True)),
             ("stats", dict(collect_trace=False)),
-            ("fold", dict(collect_trace=False, fold=True)),
         ):
             outcome = run_scheme(
                 taskset,
@@ -121,7 +119,7 @@ class TestBatchScalarAgreement:
                 views[mode] = stats_view(outcome.result)
             assert outcome.total_energy == batch_energy, mode
             assert outcome.metrics.mk_violations == batch_violations, mode
-        assert views["batch"] == views["stats"] == views["fold"], scheme
+        assert views["batch"] == views["stats"], scheme
 
     def test_mixed_lockstep_batch(self):
         """Many sims with different schemes/scenarios in ONE kernel run."""
@@ -227,6 +225,33 @@ class TestSweepBackend:
         # (scalar jobs are the ones that get JOB_START events).
         scalar_jobs = {e.data["job"] for e in log.of_kind("job_start")}
         assert scalar_jobs and len(scalar_jobs) < len(batch.job_payloads)
+
+    def test_batched_job_finish_is_labelled_apportioned(self):
+        """A batched job's wall_s is its chunk's time split evenly, and
+        its JOB_FINISH says so; scalar-fallback jobs are timed alone."""
+
+        def factory(index):
+            if index % 2:
+                return FaultScenario.permanent_and_transient(seed=index)
+            return FaultScenario.permanent_only(seed=index)
+
+        log = EventLog()
+        utilization_sweep(
+            scenario_factory=factory, backend="batch", events=log, **SWEEP_KW
+        )
+        scalar_jobs = {e.data["job"] for e in log.of_kind("job_start")}
+        finishes = log.of_kind("job_finish")
+        batched = [e for e in finishes if e.data["job"] not in scalar_jobs]
+        scalar = [e for e in finishes if e.data["job"] in scalar_jobs]
+        assert batched and scalar
+        assert all(e.data["apportioned"] is True for e in batched)
+        assert all("apportioned" not in e.data for e in scalar)
+
+        pool_log = EventLog()
+        utilization_sweep(scenario_factory=factory, events=pool_log, **SWEEP_KW)
+        assert all(
+            "apportioned" not in e.data for e in pool_log.of_kind("job_finish")
+        )
 
     def test_cross_backend_partial_resume(self, tmp_path):
         """A half-complete pool journal finishes on the batch backend."""

@@ -11,9 +11,8 @@ and its timeline plumbing:
   to the historical no-model timeline (including the shared-timeline memo,
   which must also never conflate two different models -- the cache-key
   regression);
-* the engine's cycle-folding fast path self-disables on non-periodic
-  timelines and still reproduces the trace-mode reference exactly, while
-  periodic runs keep folding.
+* stats-only runs on non-periodic timelines reproduce the trace-mode
+  reference exactly, in the engine and through sweep journals.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import json
 import pytest
 
 from repro.analysis.cache import analysis_cache
-from repro.harness.events import EventLog
 from repro.harness.sweep import utilization_sweep
 from repro.model.task import Task
 from repro.model.taskset import TaskSet
@@ -32,7 +30,7 @@ from repro.schedulers.base import run_policy
 from repro.sim.timeline import ReleaseTimeline, shared_release_timeline
 from repro.workload.generator import TaskSetGenerator
 from repro.workload.release import ReleaseModel
-from tests.property.test_prop_folding import metric_view
+from tests.metric_view import metric_view
 
 POLICIES = (MKSSStatic, MKSSDualPriority, MKSSSelective)
 
@@ -202,12 +200,12 @@ def aligned_taskset() -> TaskSet:
     )
 
 
-class TestFoldSelfDisable:
-    """Satellite: fold=True on a non-periodic timeline is exact, not folded."""
+class TestOffPeriodicModes:
+    """Stats-only runs on non-periodic timelines equal the trace runs."""
 
     @pytest.mark.parametrize("policy_cls", POLICIES)
     @pytest.mark.parametrize("preset", ["light", "bursty"])
-    def test_folded_sporadic_equals_trace(self, policy_cls, preset):
+    def test_stats_sporadic_equals_trace(self, policy_cls, preset):
         taskset = aligned_taskset()
         model = ReleaseModel.preset(preset, seed=5)
         base = taskset.timebase()
@@ -215,21 +213,11 @@ class TestFoldSelfDisable:
             taskset, policy_cls(), 40 * 20, base,
             collect_trace=True, release_model=model,
         )
-        folded = run_policy(
+        stats = run_policy(
             taskset, policy_cls(), 40 * 20, base,
-            collect_trace=False, fold=True, release_model=model,
+            collect_trace=False, release_model=model,
         )
-        assert folded.cycles_folded == 0  # never armed off-periodic
-        assert metric_view(folded) == metric_view(trace)
-
-    def test_periodic_still_folds(self):
-        taskset = aligned_taskset()
-        base = taskset.timebase()
-        folded = run_policy(
-            taskset, MKSSSelective(), 40 * 20, base,
-            collect_trace=False, fold=True,
-        )
-        assert folded.cycles_folded > 30
+        assert metric_view(stats) == metric_view(trace)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_trace_equals_stats_off_periodic(self, seed):
@@ -274,7 +262,7 @@ def journal_rows(path):
 
 
 class TestSweepIntegration:
-    """Release models composed with backends, folding, and journals."""
+    """Release models composed with backends, execution modes, and journals."""
 
     def test_periodic_sweep_byte_identical_to_default(self, tmp_path):
         """Explicit periodic model: same journal bytes as no model."""
@@ -313,30 +301,21 @@ class TestSweepIntegration:
             b.mean_energy for b in pool.bins
         ]
 
-    def test_sweep_fold_self_disables_off_periodic(self, tmp_path):
-        """fold=True sporadic sweep: zero folds, trace-identical journal."""
+    def test_sweep_stats_mode_off_periodic(self, tmp_path):
+        """Stats-only sporadic sweep: trace-identical journal."""
         model = ReleaseModel.preset("bursty", seed=2)
         trace_path = tmp_path / "trace.jsonl"
-        fold_path = tmp_path / "fold.jsonl"
+        stats_path = tmp_path / "stats.jsonl"
         utilization_sweep(
             journal_path=str(trace_path), release_model=model, **SWEEP_KW
         )
-        log = EventLog()
         utilization_sweep(
-            journal_path=str(fold_path),
+            journal_path=str(stats_path),
             release_model=model,
             collect_trace=False,
-            fold=True,
-            events=log,
             **SWEEP_KW,
         )
-        assert journal_rows(fold_path) == journal_rows(trace_path)
-        folded = [
-            event.data["cycles_folded"]
-            for event in log.events
-            if event.kind == "job_finish" and "cycles_folded" in event.data
-        ]
-        assert folded and sum(folded) == 0
+        assert journal_rows(stats_path) == journal_rows(trace_path)
 
     def test_validate_sampling_passes_off_periodic(self):
         """The conformance auditor holds on sporadic sweeps too."""

@@ -65,6 +65,11 @@ class TestCleanRunsAudit:
         with pytest.raises(ConfigurationError):
             audit_scheme(fig1, "MKSS_ST", modes=("trace", "warp"))
 
+    def test_retired_fold_mode_rejected(self, fig1):
+        assert AUDIT_MODES == ("trace", "stats")
+        with pytest.raises(ConfigurationError, match="fold"):
+            audit_scheme(fig1, "MKSS_ST", modes=("stats", "fold"))
+
     def test_mode_subset_respected(self, fig1):
         report = audit_scheme(fig1, "MKSS_ST", horizon_cap_units=20,
                               modes=("stats",))

@@ -83,3 +83,85 @@ class TestMainExitCodes:
     ):
         assert self._main(gate, monkeypatch, baseline, a=100.0) == 0
         assert self._main(gate, monkeypatch, baseline, a=200.0) == 1
+
+    def test_hard_gate_fails_a_baselined_benchmark_not_measured(
+        self, gate, monkeypatch, tmp_path
+    ):
+        # An unselected run that lost a baselined benchmark (skipped or
+        # deleted) cannot see it regress.
+        path = tmp_path / "two.json"
+        path.write_text(
+            json.dumps({"baseline": {"a": _entry(100.0), "b": _entry(50.0)}})
+        )
+        assert self._main(gate, monkeypatch, path, a=100.0) == 2
+        assert self._main(gate, monkeypatch, path, "--advisory", a=100.0) == 0
+        assert self._main(gate, monkeypatch, path, a=100.0, b=50.0) == 0
+
+
+class TestPerModeBaselines:
+    @pytest.fixture()
+    def baseline(self, tmp_path):
+        path = tmp_path / "baseline.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "baseline": {"a": _entry(100.0)},
+                    "baseline_quick": {"a": _entry(300.0)},
+                }
+            )
+        )
+        return path
+
+    def _main(self, gate, monkeypatch, baseline, *flags, **mins):
+        seen = {}
+
+        def fake_run(quick, select=""):
+            seen["quick"] = quick
+            return _report(**mins)
+
+        monkeypatch.setattr(gate, "run_benchmarks", fake_run)
+        code = gate.main(["--baseline", str(baseline), *flags])
+        return code, seen["quick"]
+
+    def test_quick_run_reads_baseline_quick(self, gate, monkeypatch, baseline):
+        # 250us is a 2.5x regression of the full baseline but within 20%
+        # of the quick one; each mode is held to its own numbers.
+        assert self._main(
+            gate, monkeypatch, baseline, "--quick", a=250.0
+        ) == (0, True)
+        assert self._main(gate, monkeypatch, baseline, a=250.0) == (1, False)
+        assert self._main(
+            gate, monkeypatch, baseline, "--quick", a=400.0
+        ) == (1, True)
+
+    def test_quick_update_writes_baseline_quick_only(
+        self, gate, monkeypatch, baseline
+    ):
+        code, _ = self._main(
+            gate, monkeypatch, baseline, "--quick", "--update-baseline", a=7.0
+        )
+        assert code == 0
+        written = json.loads(baseline.read_text())
+        assert written["baseline_quick"] == {"a": _entry(7.0)}
+        assert written["baseline"] == {"a": _entry(100.0)}
+
+    def test_quick_run_without_quick_baseline_fails_hard(
+        self, gate, monkeypatch, tmp_path
+    ):
+        # Full-mode numbers are never a stand-in for quick-mode ones.
+        path = tmp_path / "full_only.json"
+        path.write_text(json.dumps({"baseline": {"a": _entry(100.0)}}))
+        assert self._main(
+            gate, monkeypatch, path, "--quick", a=100.0
+        ) == (2, True)
+
+    def test_full_update_keeps_baseline_quick(
+        self, gate, monkeypatch, baseline
+    ):
+        code, quick = self._main(
+            gate, monkeypatch, baseline, "--update-baseline", a=9.0
+        )
+        assert (code, quick) == (0, False)
+        written = json.loads(baseline.read_text())
+        assert written["baseline"] == {"a": _entry(9.0)}
+        assert written["baseline_quick"] == {"a": _entry(300.0)}

@@ -74,21 +74,19 @@ class TestCommands:
         )
         assert "primary" not in capsys.readouterr().out
 
-    def test_simulate_fold_reports_cycles(self, capsys):
-        code = main(
-            [
-                "simulate",
-                "--preset",
-                "fig5",
-                "--fold",
-                "--horizon",
-                "200",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "cycles folded: 1" in out
-        assert "primary" not in out  # no Gantt without a trace
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--preset", "fig5", "--fold"],
+            ["sweep", "--bins", "0.4:0.5", "--fold"],
+            ["triage", "--no-fold"],
+        ],
+    )
+    def test_removed_fold_flags_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_simulate_no_trace_matches_trace_run(self, capsys):
         args = ["simulate", "--preset", "fig1", "--no-gantt", "--horizon", "20"]
@@ -183,24 +181,6 @@ class TestCommands:
         ]
         assert skipped and "3" in skipped[0]
 
-    def test_sweep_fold_flag(self, capsys):
-        code = main(
-            [
-                "sweep",
-                "--bins",
-                "0.4:0.5",
-                "--sets-per-bin",
-                "1",
-                "--horizon",
-                "300",
-                "--fold",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "[0.4,0.5)" in out
-        assert "cycles folded:" in out
-
     def test_sweep_release_model_flags(self, capsys):
         base = [
             "sweep",
@@ -251,25 +231,6 @@ class TestCommands:
             "sets in Xs", implicit
         )
 
-    def test_sweep_fold_off_periodic_reports_zero_folds(self, capsys):
-        code = main(
-            [
-                "sweep",
-                "--bins",
-                "0.4:0.5",
-                "--sets-per-bin",
-                "1",
-                "--horizon",
-                "300",
-                "--fold",
-                "--release-model",
-                "bursty",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "cycles folded: 0" in out
-
     def test_sweep_no_trace_same_table(self, capsys):
         args = [
             "sweep",
@@ -287,6 +248,26 @@ class TestCommands:
         # The generation footer reports wall time; everything else must
         # be byte-identical across execution modes.
         mask = re.compile(r"sets in \d+(\.\d+)?s")
+        assert mask.sub("sets in Xs", plain) == mask.sub("sets in Xs", stats)
+
+    def test_sweep_no_trace_off_periodic_same_table(self, capsys):
+        args = [
+            "sweep",
+            "--bins",
+            "0.4:0.5",
+            "--sets-per-bin",
+            "1",
+            "--horizon",
+            "300",
+            "--release-model",
+            "bursty",
+        ]
+        assert main(args) == 0
+        plain = capsys.readouterr().out
+        assert main(args + ["--no-trace"]) == 0
+        stats = capsys.readouterr().out
+        mask = re.compile(r"sets in \d+(\.\d+)?s")
+        assert "[0.4,0.5)" in plain
         assert mask.sub("sets in Xs", plain) == mask.sub("sets in Xs", stats)
 
     def test_sweep_resume_mismatched_journal_errors(self, capsys, tmp_path):
@@ -398,6 +379,13 @@ class TestValidateCommand:
     def test_unknown_mode_rejected(self, capsys):
         assert main(["validate", "--preset", "fig1", "--modes", "warp"]) == 2
         assert "unknown mode" in capsys.readouterr().err
+
+    def test_retired_fold_mode_rejected(self, capsys):
+        code = main(["validate", "--preset", "fig1", "--modes", "trace,fold"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "['fold']" in err
+        assert "known: ['trace', 'stats']" in err
 
     def test_unknown_scheme_rejected(self, capsys):
         code = main(["validate", "--preset", "fig1", "--scheme", "Nope"])

@@ -61,12 +61,21 @@ class TestReleaseTimeline:
         timeline = ReleaseTimeline(mixed_periods, 50, base)
         assert list(timeline.ticks) == sorted(timeline.ticks)
 
-    def test_releases_per_span(self, mixed_periods):
+    def test_releases_repeat_each_hyperperiod(self, mixed_periods):
         base = mixed_periods.timebase()
         timeline = ReleaseTimeline(mixed_periods, 24, base)
-        # One hyperperiod (12 ticks): 3 + 2 + 1 releases.
-        assert timeline.releases_per_span(12) == 6
-        assert timeline.releases_per_span(24) == 12
+        # One hyperperiod is 12 ticks; the second repeats the first,
+        # shifted by 12 ticks and by each task's per-span job count
+        # (order within a shared tick differs, see the test above).
+        per_span = {0: 3, 1: 2, 2: 1}
+        rows = list(zip(timeline.ticks, timeline.tasks, timeline.jobs))
+        first = [row for row in rows if row[0] < 12]
+        second = [row for row in rows if row[0] >= 12]
+        assert len(first) == len(second) == 6
+        assert sorted(
+            (tick - 12, task, job - per_span[task])
+            for tick, task, job in second
+        ) == sorted(first)
 
     def test_bad_horizon_rejected(self, mixed_periods):
         with pytest.raises(ConfigurationError):

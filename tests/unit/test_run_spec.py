@@ -17,7 +17,7 @@ from repro.harness.validate import AuditReport, audit_scheme
 from repro.sim.batch import build_batch_item
 from repro.workload.release import ReleaseModel
 
-MODE_FIELDS = {"collect_trace", "fold"}
+MODE_FIELDS = {"collect_trace"}
 
 
 class TestNormalization:
@@ -44,7 +44,6 @@ class TestNormalization:
             {"horizon_cap_units": 0},
             {"release_model": "storm"},
             {"dvfs": 3},
-            {"fold": True, "collect_trace": True},
         ],
     )
     def test_invalid_knobs_rejected(self, bad):
@@ -69,7 +68,7 @@ class TestCanonical:
         }
 
     def test_mode_and_horizon_never_enter(self):
-        stats = RunSpec(horizon_cap_units=5, collect_trace=False, fold=True)
+        stats = RunSpec(horizon_cap_units=5, collect_trace=False)
         assert stats.canonical() == {}
 
 

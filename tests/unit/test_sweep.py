@@ -475,7 +475,7 @@ class TestValidationSampling:
         finish_seq = log.of_kind(RUN_FINISH)[0].seq
         assert all(event.seq < finish_seq for event in audits)
 
-    def test_folded_sweep_audits_fold_mode_too(self):
+    def test_stats_sweep_audits_trace_and_stats(self):
         from repro.harness.events import VALIDATE
 
         log = EventLog()
@@ -486,13 +486,12 @@ class TestValidationSampling:
             horizon_cap_units=300,
             events=log,
             collect_trace=False,
-            fold=True,
             validate=1,
         )
         audits = log.of_kind(VALIDATE)
         assert audits
         assert all(
-            event.data["modes"] == ["trace", "stats", "fold"]
+            event.data["modes"] == ["trace", "stats"]
             for event in audits
         )
 

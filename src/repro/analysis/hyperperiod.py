@@ -55,16 +55,6 @@ def mk_hyperperiod_ticks(
     )
 
 
-def period_hyperperiod_ticks(taskset: TaskSet, timebase: TimeBase) -> int:
-    """LCM of the task *periods* in ticks -- the schedule's repeat length.
-
-    Strictly smaller than (a divisor of) the (m,k)-hyperperiod: the
-    release pattern repeats every period-LCM, while the mandatory/optional
-    classification phase takes up to ``k_i`` more cycles to realign.
-    """
-    return lcm_ticks(timebase.to_ticks(task.period) for task in taskset.tasks)
-
-
 def analysis_horizon(
     taskset: TaskSet,
     timebase: TimeBase,

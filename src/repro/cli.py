@@ -40,6 +40,7 @@ from .harness.figures import DEFAULT_BINS, fig6a, fig6b, fig6c
 from .harness.protocol import ExperimentProtocol
 from .harness.report import format_series_table, format_table
 from .harness.runner import SCHEME_FACTORIES, RunSpec, speed_plan_of
+from .harness.sweep import SWEEP_BACKENDS
 from .model.history import INITIAL_HISTORY_MODES
 from .model.task import Task
 from .model.taskset import TaskSet
@@ -265,39 +266,32 @@ def parse_bins(spec: str):
     return bins
 
 
+def _warn_on_backend_fallback(event) -> None:
+    """EventLog sink: tell the user when the sweep changed backend."""
+    from .harness.events import BACKEND_FALLBACK
+
+    if event.kind == BACKEND_FALLBACK:
+        data = event.data
+        print(
+            f"warning: --backend {data['requested']}: {data['reason']}; "
+            f"falling back to {data['used']}",
+            file=sys.stderr,
+        )
+
+
 def cmd_sweep(args) -> int:
     from .harness.events import EventLog
     from .harness.report import format_event_summary
 
     panel = {"none": fig6a, "permanent": fig6b, "transient": fig6c}[args.faults]
     bins = parse_bins(args.bins) if args.bins else list(DEFAULT_BINS)
-    log = EventLog()
-    backend = args.backend
-    if backend == "batch":
-        from .harness.events import BACKEND_FALLBACK
-        from .sim.batch import numpy_available
-
-        if not numpy_available():
-            # Degrade, don't crash: the batch kernel is an accelerator,
-            # not a requirement.  The event records what happened.
-            log.emit(
-                BACKEND_FALLBACK,
-                requested="batch",
-                used="pool",
-                reason="numpy is not installed (pip install repro[batch])",
-            )
-            print(
-                "warning: --backend batch needs numpy "
-                "(pip install repro[batch]); falling back to pool",
-                file=sys.stderr,
-            )
-            backend = "pool"
+    log = EventLog(sink=_warn_on_backend_fallback)
     sweep = panel(
         bins=bins,
         sets_per_bin=args.sets_per_bin,
         seed=args.seed,
         workers=args.workers,
-        backend=backend,
+        backend=args.backend,
         journal_path=args.journal or None,
         resume=args.resume,
         force_new=args.force_new,
@@ -572,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--backend",
-        choices=("pool", "batch", "serial"),
+        choices=SWEEP_BACKENDS,
         default="pool",
         help="execution backend: 'pool' runs one scalar engine per job, "
         "'batch' advances batchable jobs in lockstep on the vectorized "

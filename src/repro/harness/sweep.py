@@ -50,6 +50,7 @@ are not captured in the journal fingerprint.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import os
 import time
@@ -64,6 +65,7 @@ from ..sim.validation import ValidationIssue
 from ..workload.fastgen import GenerationStats, generate_single_bin
 from ..workload.generator import GeneratorConfig, generate_binned_tasksets
 from .events import (
+    BACKEND_FALLBACK,
     BATCH_PROGRESS,
     GENERATION,
     JOB_DROP,
@@ -95,16 +97,22 @@ ScenarioFactory = Callable[[int], FaultScenario]
 OK = "ok"
 DROPPED = "dropped"
 
-#: The stock execution backends of :func:`utilization_sweep`.  ``pool``
-#: is the classic per-job path (inline at ``workers=1``, process pool
+#: The execution backends of :func:`utilization_sweep`.  ``pool`` is
+#: the classic per-job path (inline at ``workers=1``, process pool
 #: above); ``serial`` forces the inline path regardless of ``workers``;
 #: ``batch`` advances every batchable job in lockstep on the vectorized
 #: kernel (:mod:`repro.sim.batch`) and falls back to the scalar engine
-#: per job for the rest.  Each name resolves to an
-#: :class:`ExecutionDriver` via :func:`resolve_driver`; custom drivers
-#: registered with :func:`register_driver` extend the accepted set
-#: beyond this tuple.
+#: per job for the rest.
 SWEEP_BACKENDS = ("pool", "batch", "serial")
+
+
+def check_backend(backend: str) -> None:
+    """Raise :class:`ConfigurationError` unless ``backend`` is one of
+    :data:`SWEEP_BACKENDS`."""
+    if backend not in SWEEP_BACKENDS:
+        raise ConfigurationError(
+            f"unknown backend {backend!r}; choose from {sorted(SWEEP_BACKENDS)}"
+        )
 
 
 def _freeze(value):
@@ -298,201 +306,6 @@ def _run_one(job: tuple) -> Tuple[float, int]:
     return outcome.total_energy, outcome.metrics.mk_violations
 
 
-def _run_batch_chunk(items: list) -> list:
-    """Module-level batch worker so ProcessPoolExecutor can pickle it.
-
-    ``items`` is a list of :class:`repro.sim.batch.BatchItem`; the whole
-    chunk advances in lockstep on one vectorized kernel.  Returns one
-    ``(energy, violations)`` payload per item, aligned
-    with ``items`` -- exactly what :func:`_run_one` returns for the same
-    job on the scalar engine.
-    """
-    _maybe_crash_for_tests()
-    from ..sim.batch import run_batch_payloads
-
-    return run_batch_payloads(items)
-
-
-def _execute_batch_jobs(
-    jobs: Sequence[Any],
-    key_list: Sequence[str],
-    specs: Sequence[Tuple[TaskSet, str, Optional[FaultScenario]]],
-    *,
-    workers: int,
-    policy: ExecutionPolicy,
-    journal: Optional[RunJournal],
-    completed: Dict[str, Any],
-    events: EventLog,
-    run: RunSpec,
-) -> List[Tuple[str, Any]]:
-    """The ``backend="batch"`` execution path of the sweep.
-
-    Resolves every pending job into a :class:`~repro.sim.batch.BatchItem`
-    where possible and advances all of them in lockstep -- inline at
-    ``workers=1``, or split into one chunk per worker over the process
-    pool.  Jobs the kernel cannot take (transient faults possible, no
-    batch profile, window too deep) fall back to the scalar engine via
-    :func:`execute_jobs`, as does every batched job whose chunk failed.
-    Journal rows carry the same keys and byte-identical payloads as the
-    pool backend, so journals resume across backends in both directions.
-    A batched job's ``wall_s`` is its chunk's elapsed time divided evenly
-    among the chunk's jobs, so its JOB_FINISH event carries
-    ``apportioned=True``; scalar-fallback jobs are timed individually.
-
-    Returns ``(tag, payload)`` per job, aligned with ``jobs`` -- the
-    :func:`execute_jobs` contract.
-    """
-    from ..sim.batch import build_batch_item
-
-    log = events
-    total = len(jobs)
-    results: List[Optional[Tuple[str, Any]]] = [None] * total
-    done = 0
-    if completed:
-        for index, key in enumerate(key_list):
-            if key in completed:
-                results[index] = (OK, completed[key])
-                done += 1
-                log.emit(JOB_SKIP, job=key, progress=f"{done}/{total}")
-    pending = [index for index in range(total) if results[index] is None]
-
-    items: Dict[int, Any] = {}
-    scalar: List[int] = []
-    for index in pending:
-        taskset, scheme, scenario = specs[index]
-        item = build_batch_item(taskset, scheme, scenario, **run.knobs())
-        if item is None:
-            scalar.append(index)
-        else:
-            items[index] = item
-
-    def finish(index: int, payload: Any, wall_s: float) -> None:
-        nonlocal done
-        results[index] = (OK, payload)
-        done += 1
-        if journal is not None:
-            journal.record(
-                key_list[index],
-                payload,
-                wall_s=round(wall_s, 6),
-                attempt=1,
-            )
-        log.emit(
-            JOB_FINISH,
-            job=key_list[index],
-            attempt=1,
-            wall_s=round(wall_s, 6),
-            progress=f"{done}/{total}",
-            apportioned=True,
-        )
-
-    batch_order = sorted(items)
-    if batch_order:
-        started = time.monotonic()
-        if workers == 1:
-            last_emit = [started]
-
-            def progress(done_sims: int, total_sims: int) -> None:
-                stamp = time.monotonic()
-                if done_sims < total_sims and stamp - last_emit[0] < 1.0:
-                    return
-                last_emit[0] = stamp
-                elapsed = stamp - started
-                log.emit(
-                    BATCH_PROGRESS,
-                    done=done_sims,
-                    total=total_sims,
-                    sims_per_s=(
-                        round(done_sims / elapsed, 1) if elapsed > 0 else None
-                    ),
-                )
-
-            try:
-                payloads = _run_batch_chunk_with_progress(
-                    [items[index] for index in batch_order], progress
-                )
-            except Exception as exc:
-                reason = f"batch kernel failed: {_describe_error(exc)}"
-                for index in batch_order:
-                    log.emit(
-                        JOB_RETRY, job=key_list[index], attempt=1, reason=reason
-                    )
-                scalar.extend(batch_order)
-            else:
-                per_job = (time.monotonic() - started) / len(batch_order)
-                for index, value in zip(batch_order, payloads):
-                    finish(index, value, per_job)
-        else:
-            # One lockstep chunk per worker; a chunk is the retry/timeout
-            # unit (execute_jobs charges and respawns per chunk), and a
-            # chunk that still fails degrades to per-job scalar fallback.
-            chunk_count = min(workers, len(batch_order))
-            chunk_ix = [
-                batch_order[offset::chunk_count]
-                for offset in range(chunk_count)
-            ]
-            outcomes = execute_jobs(
-                [[items[index] for index in chunk] for chunk in chunk_ix],
-                worker=_run_batch_chunk,
-                keys=[f"batch-chunk{offset}" for offset in range(chunk_count)],
-                workers=workers,
-                policy=policy,
-                events=EventLog(),  # chunk lifecycle stays off the run stream
-            )
-            elapsed = time.monotonic() - started
-            per_job = elapsed / len(batch_order)
-            for chunk, (tag, value) in zip(chunk_ix, outcomes):
-                if tag != OK:
-                    for index in chunk:
-                        log.emit(
-                            JOB_RETRY,
-                            job=key_list[index],
-                            attempt=1,
-                            reason=f"batch chunk failed: {value}",
-                        )
-                    scalar.extend(chunk)
-                else:
-                    for index, payload in zip(chunk, value):
-                        finish(index, payload, per_job)
-            finished = sum(
-                len(chunk)
-                for chunk, (tag, _) in zip(chunk_ix, outcomes)
-                if tag == OK
-            )
-            log.emit(
-                BATCH_PROGRESS,
-                done=finished,
-                total=len(batch_order),
-                sims_per_s=(
-                    round(finished / elapsed, 1) if elapsed > 0 else None
-                ),
-            )
-
-    if scalar:
-        scalar.sort()
-        outcomes = execute_jobs(
-            [jobs[index] for index in scalar],
-            keys=[key_list[index] for index in scalar],
-            workers=workers,
-            policy=policy,
-            journal=journal,
-            events=log,
-        )
-        for index, outcome in zip(scalar, outcomes):
-            results[index] = outcome
-    return [
-        outcome if outcome is not None else (DROPPED, "not executed")
-        for outcome in results
-    ]
-
-
-def _run_batch_chunk_with_progress(items: list, progress) -> list:
-    """Inline variant of :func:`_run_batch_chunk` that streams progress."""
-    from ..sim.batch import run_batch_payloads
-
-    return run_batch_payloads(items, progress)
-
-
 @dataclass(frozen=True)
 class ExecutionPolicy:
     """Fault-isolation knobs for :func:`execute_jobs`.
@@ -560,6 +373,9 @@ def execute_jobs(
     journal: Optional[RunJournal] = None,
     completed: Optional[Dict[str, Any]] = None,
     events: Optional[EventLog] = None,
+    batch: Optional[
+        Callable[[List[int]], Tuple[Dict[int, Any], float]]
+    ] = None,
 ) -> List[Tuple[str, Any]]:
     """Run independent jobs with fault isolation, retries, checkpointing.
 
@@ -583,6 +399,12 @@ def execute_jobs(
         completed: ``{key: value}`` of jobs already done (from a journal
             resume); matching jobs are skipped and reported as ok.
         events: event log to emit into (a throwaway one when omitted).
+        batch: an optional first pass over the indices of the jobs not
+            resumed (the sweep's batch kernel, :func:`_run_batched`):
+            returns ``{index: value}`` for the jobs it finished and the
+            wall time apportioned to each.  Those jobs are journaled and
+            announced with ``apportioned=True``; the rest run through
+            ``worker`` as usual.
 
     Failure semantics in the pool path: an exception raised *by the job*
     charges that job an attempt and retries after backoff; a pool break
@@ -612,7 +434,9 @@ def execute_jobs(
     attempts = [0] * total
     done = 0
 
-    def finish(index: int, value: Any, wall_s: float) -> None:
+    def finish(
+        index: int, value: Any, wall_s: float, apportioned: bool = False
+    ) -> None:
         nonlocal done
         results[index] = (OK, value)
         done += 1
@@ -629,6 +453,7 @@ def execute_jobs(
             attempt=attempts[index] + 1,
             wall_s=round(wall_s, 6),
             progress=f"{done}/{total}",
+            **({"apportioned": True} if apportioned else {}),
         )
 
     def drop(index: int, reason: str) -> None:
@@ -666,6 +491,12 @@ def execute_jobs(
                 done += 1
                 log.emit(JOB_SKIP, job=key, progress=f"{done}/{total}")
     pending = [index for index in range(total) if results[index] is None]
+    if batch is not None and pending:
+        batched, wall_s = batch(pending)
+        for index in pending:
+            if index in batched:
+                finish(index, batched[index], wall_s, apportioned=True)
+        pending = [index for index in pending if index not in batched]
 
     if workers == 1:
         while pending:
@@ -774,157 +605,113 @@ def execute_jobs(
     ]
 
 
-@dataclass(frozen=True)
-class ExecutionRequest:
-    """Everything an execution driver needs to run one sweep's jobs.
+def _run_batch_chunk(items: list) -> list:
+    """Module-level batch worker so ProcessPoolExecutor can pickle it.
 
-    Built once by :func:`utilization_sweep` and handed to the configured
-    :class:`ExecutionDriver`; bundling the arguments keeps driver
-    signatures stable as the harness grows knobs.
-
-    Attributes:
-        jobs: picklable job descriptors (see :func:`_run_one`).
-        keys: deterministic journal key per job, aligned with ``jobs``.
-        specs: ``(taskset, scheme, scenario)`` per job -- parent-side
-            references for drivers that resolve work themselves (the
-            batch kernel's batchability check) rather than through the
-            descriptors.
-        workers: process count granted to the driver (1 = inline).
-        policy: timeout/retry/backoff knobs.
-        journal: started journal to append finished jobs to, or None.
-        completed: ``{key: payload}`` resumed from the journal.
-        events: the run's event log.
-        run: the :class:`RunSpec` every job runs under.
+    ``items`` is a list of :class:`repro.sim.batch.BatchItem`; the whole
+    chunk advances in lockstep on one vectorized kernel.  Returns one
+    ``(energy, violations)`` payload per item, aligned
+    with ``items`` -- exactly what :func:`_run_one` returns for the same
+    job on the scalar engine.
     """
+    _maybe_crash_for_tests()
+    from ..sim.batch import run_batch_payloads
 
-    jobs: Sequence[Any]
-    keys: Sequence[str]
-    specs: Sequence[Tuple[TaskSet, str, Optional[FaultScenario]]]
-    workers: int
-    policy: ExecutionPolicy
-    journal: Optional[RunJournal]
-    completed: Dict[str, Any]
-    events: EventLog
-    run: RunSpec
+    return run_batch_payloads(items)
 
 
-class ExecutionDriver:
-    """How a sweep's jobs get executed, as a pluggable strategy.
+def _run_batched(
+    pending: Sequence[int],
+    *,
+    keys: Sequence[str],
+    specs: Sequence[Tuple[TaskSet, str, Optional[FaultScenario]]],
+    workers: int,
+    policy: ExecutionPolicy,
+    events: EventLog,
+    run: RunSpec,
+) -> Tuple[Dict[int, Any], float]:
+    """The ``backend="batch"`` kernel pass over the pending jobs.
 
-    One driver instance serves the CLI's process pool, the vectorized
-    batch backend, and the analysis service's worker loop -- they all
-    funnel through :func:`utilization_sweep`, which resolves a driver by
-    name (``backend=``) or takes one directly (``driver=``).  Custom
-    drivers (e.g. a multi-host dispatcher) subclass this, implement
-    :meth:`execute`, and either register themselves via
-    :func:`register_driver` or are passed per call.
-
-    The contract: return one ``(tag, payload)`` per job, aligned with
-    ``request.jobs``, journaling each fresh job under its key -- exactly
-    :func:`execute_jobs`'s semantics.  Payloads must be byte-identical
-    across drivers (the engine guarantees the metrics are), so journals
-    and cached results are driver-portable.
+    Resolves every pending job into a :class:`~repro.sim.batch.BatchItem`
+    where possible and advances all of them in lockstep -- inline at
+    ``workers=1`` with live BATCH_PROGRESS, or split into one chunk per
+    worker over the process pool.  Returns ``{index: payload}`` for the
+    jobs the kernel finished plus their apportioned wall time (the
+    kernel's elapsed time divided evenly among its jobs);
+    :func:`execute_jobs` journals and announces them and runs every
+    other pending job on the scalar engine: jobs the kernel cannot take
+    (transient faults possible, no batch profile, window too deep) and
+    every batched job whose chunk failed (announced here as JOB_RETRY).
     """
+    from ..sim.batch import build_batch_item, run_batch_payloads
 
-    #: Registry key; also the ``backend=`` spelling that selects it.
-    name: str = "abstract"
-    #: True forces ``workers=1`` (the driver never fans out processes).
-    inline_only: bool = False
+    items: Dict[int, Any] = {}
+    for index in pending:
+        taskset, scheme, scenario = specs[index]
+        item = build_batch_item(taskset, scheme, scenario, **run.knobs())
+        if item is not None:
+            items[index] = item
+    batch_order = sorted(items)
+    if not batch_order:
+        return {}, 0.0
 
-    def ensure_available(self) -> None:
-        """Raise :class:`ConfigurationError` if dependencies are missing."""
+    def retry(chunk: Sequence[int], reason: str) -> None:
+        for index in chunk:
+            events.emit(JOB_RETRY, job=keys[index], attempt=1, reason=reason)
 
-    def execute(self, request: ExecutionRequest) -> List[Tuple[str, Any]]:
-        raise NotImplementedError
-
-
-class PoolDriver(ExecutionDriver):
-    """The classic per-job scalar path: inline at ``workers=1``, one
-    persistent process pool above."""
-
-    name = "pool"
-
-    def execute(self, request: ExecutionRequest) -> List[Tuple[str, Any]]:
-        return execute_jobs(
-            request.jobs,
-            keys=request.keys,
-            workers=request.workers,
-            policy=request.policy,
-            journal=request.journal,
-            completed=request.completed,
-            events=request.events,
+    def report(done_sims: int, total_sims: int, elapsed: float) -> None:
+        events.emit(
+            BATCH_PROGRESS,
+            done=done_sims,
+            total=total_sims,
+            sims_per_s=round(done_sims / elapsed, 1) if elapsed > 0 else None,
         )
 
+    payloads: Dict[int, Any] = {}
+    started = time.monotonic()
+    if workers == 1:
+        last_emit = [started]
 
-class SerialDriver(PoolDriver):
-    """The inline scalar path, regardless of the ``workers`` setting."""
+        def progress(done_sims: int, total_sims: int) -> None:
+            stamp = time.monotonic()
+            if done_sims < total_sims and stamp - last_emit[0] < 1.0:
+                return
+            last_emit[0] = stamp
+            report(done_sims, total_sims, stamp - started)
 
-    name = "serial"
-    inline_only = True
-
-
-class BatchDriver(ExecutionDriver):
-    """Lockstep execution on the vectorized numpy kernel, with per-job
-    scalar fallback for jobs the kernel cannot take."""
-
-    name = "batch"
-
-    def ensure_available(self) -> None:
-        from ..sim.batch import require_numpy
-
-        require_numpy()
-
-    def execute(self, request: ExecutionRequest) -> List[Tuple[str, Any]]:
-        return _execute_batch_jobs(
-            request.jobs,
-            request.keys,
-            request.specs,
-            workers=request.workers,
-            policy=request.policy,
-            journal=request.journal,
-            completed=request.completed,
-            events=request.events,
-            run=request.run,
+        try:
+            values = run_batch_payloads(
+                [items[index] for index in batch_order], progress
+            )
+        except Exception as exc:
+            retry(batch_order, f"batch kernel failed: {_describe_error(exc)}")
+        else:
+            payloads.update(zip(batch_order, values))
+        elapsed = time.monotonic() - started
+    else:
+        # One lockstep chunk per worker; a chunk is the retry/timeout
+        # unit (execute_jobs charges and respawns per chunk), and a
+        # chunk that still fails degrades to per-job scalar fallback.
+        chunk_count = min(workers, len(batch_order))
+        chunks = [
+            batch_order[offset::chunk_count] for offset in range(chunk_count)
+        ]
+        outcomes = execute_jobs(
+            [[items[index] for index in chunk] for chunk in chunks],
+            worker=_run_batch_chunk,
+            keys=[f"batch-chunk{offset}" for offset in range(chunk_count)],
+            workers=workers,
+            policy=policy,
+            events=EventLog(),  # chunk lifecycle stays off the run stream
         )
-
-
-#: Name -> driver registry behind ``utilization_sweep(backend=...)``.
-_DRIVERS: Dict[str, ExecutionDriver] = {}
-
-
-def register_driver(driver: ExecutionDriver, replace: bool = False) -> None:
-    """Register an :class:`ExecutionDriver` under its ``name``.
-
-    Third-party drivers use this to become addressable as a ``backend``
-    string (CLI ``--backend``, service sweep specs).  Re-registering an
-    existing name requires ``replace=True`` -- silently shadowing the
-    stock drivers would change results delivery for every caller.
-    """
-    if not driver.name or driver.name == ExecutionDriver.name:
-        raise ConfigurationError(
-            f"driver {driver!r} needs a concrete name to be registered"
-        )
-    if driver.name in _DRIVERS and not replace:
-        raise ConfigurationError(
-            f"driver {driver.name!r} is already registered; pass "
-            "replace=True to shadow it"
-        )
-    _DRIVERS[driver.name] = driver
-
-
-def resolve_driver(backend: str) -> ExecutionDriver:
-    """Look up the registered driver for a backend name."""
-    driver = _DRIVERS.get(backend)
-    if driver is None:
-        raise ConfigurationError(
-            f"unknown backend {backend!r}; choose from {sorted(_DRIVERS)}"
-        )
-    return driver
-
-
-for _driver in (PoolDriver(), BatchDriver(), SerialDriver()):
-    register_driver(_driver)
-del _driver
+        elapsed = time.monotonic() - started
+        for chunk, (tag, value) in zip(chunks, outcomes):
+            if tag == OK:
+                payloads.update(zip(chunk, value))
+            else:
+                retry(chunk, f"batch chunk failed: {value}")
+        report(len(payloads), len(batch_order), elapsed)
+    return payloads, elapsed / len(batch_order)
 
 
 @dataclass
@@ -1072,7 +859,6 @@ def utilization_sweep(
     tasksets_by_bin: Optional[Dict[Tuple[float, float], List[TaskSet]]] = None,
     workers: int = 1,
     backend: str = "pool",
-    driver: Optional["ExecutionDriver"] = None,
     journal_path: Optional[str] = None,
     resume: bool = False,
     force_new: bool = False,
@@ -1116,17 +902,11 @@ def utilization_sweep(
             vectorized numpy kernel (one batch per worker) and falls
             back to the scalar engine per job for the rest; payloads,
             journal rows, and aggregates are byte-identical to the pool
-            backend, so journals resume across backends.  Requires
-            numpy (``pip install repro[batch]``), otherwise raises
-            :class:`~repro.errors.ConfigurationError`.  ``"serial"``
-            forces the inline scalar path regardless of ``workers``.
-            Names resolve through the driver registry
-            (:func:`register_driver`), so custom drivers are selectable
-            here too.
-        driver: an :class:`ExecutionDriver` instance used directly,
-            bypassing the registry lookup; ``backend`` is ignored when
-            given.  The CLI pool, the batch kernel, and the analysis
-            service's worker loop all run through this one seam.
+            backend, so journals resume across backends.  Without
+            numpy it degrades to ``"pool"`` and emits BACKEND_FALLBACK
+            right after RUN_START, whose ``backend`` names the backend
+            actually used.  ``"serial"`` forces the inline scalar path
+            regardless of ``workers``.
         journal_path: JSONL checkpoint file; every finished job is
             appended so a crashed or interrupted sweep can resume.
         resume: load completed jobs from ``journal_path`` (validated
@@ -1189,11 +969,18 @@ def utilization_sweep(
         )
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    if driver is None:
-        driver = resolve_driver(backend)
-    driver.ensure_available()
-    if driver.inline_only:
+    check_backend(backend)
+    if backend == "serial":
         workers = 1
+    fallback: Optional[str] = None
+    if backend == "batch":
+        from ..sim.batch import numpy_available
+
+        if not numpy_available():
+            # Degrade, don't crash: the batch kernel is an accelerator,
+            # not a requirement, and the backend is outside the result.
+            fallback = "numpy is not installed (pip install repro[batch])"
+            backend = "pool"
     if resume and not journal_path:
         raise ConfigurationError("resume=True requires journal_path")
     run = RunSpec(
@@ -1341,10 +1128,14 @@ def utilization_sweep(
         RUN_START,
         jobs=len(jobs),
         workers=workers,
-        backend=driver.name,
+        backend=backend,
         resume=bool(resume),
         journal=journal_path or None,
     )
+    if fallback is not None:
+        log.emit(
+            BACKEND_FALLBACK, requested="batch", used="pool", reason=fallback
+        )
     if gen_event is not None:
         log.emit(GENERATION, **gen_event)
     journal: Optional[RunJournal] = None
@@ -1354,19 +1145,27 @@ def utilization_sweep(
         completed = journal.start(
             fingerprint, log.run_id, resume=resume, force_new=force_new
         )
+    batch = None
+    if backend == "batch":
+        batch = functools.partial(
+            _run_batched,
+            keys=job_keys,
+            specs=batch_specs,
+            workers=workers,
+            policy=policy,
+            events=log,
+            run=run,
+        )
     try:
-        results = driver.execute(
-            ExecutionRequest(
-                jobs=jobs,
-                keys=job_keys,
-                specs=batch_specs,
-                workers=workers,
-                policy=policy,
-                journal=journal,
-                completed=completed,
-                events=log,
-                run=run,
-            )
+        results = execute_jobs(
+            jobs,
+            keys=job_keys,
+            workers=workers,
+            policy=policy,
+            journal=journal,
+            completed=completed,
+            events=log,
+            batch=batch,
         )
     finally:
         if journal is not None:

@@ -60,7 +60,6 @@ from .events import EventLog
 from .figures import fig6a, fig6b, fig6c
 from .protocol import PAPER_TARGETS, ExperimentProtocol
 from .report import format_table
-from .runner import PAPER_SCHEMES
 from .sweep import SweepResult
 from .validate import audit_scheme
 

@@ -30,7 +30,7 @@ from ..energy.dvfs import DVFSConfig
 from ..errors import ConfigurationError
 from ..harness.protocol import DEFAULT_BINS, ExperimentProtocol
 from ..harness.runner import PAPER_SCHEMES, SCHEME_FACTORIES, RunSpec
-from ..harness.sweep import _sweep_fingerprint, resolve_driver
+from ..harness.sweep import _sweep_fingerprint, check_backend
 from ..workload.release import ReleaseModel
 
 #: Fault regimes, mapping onto the Figure 6 panels.
@@ -104,7 +104,7 @@ class SweepSpec:
                 f"reference scheme {self.reference_scheme!r} must be in "
                 f"{list(self.schemes)}"
             )
-        resolve_driver(self.backend)  # raises on unknown backend names
+        check_backend(self.backend)
         for lo, hi in self.bins:
             if not lo < hi:
                 raise ConfigurationError(f"bad bin [{lo}, {hi}): need lo < hi")

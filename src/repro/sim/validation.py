@@ -56,7 +56,6 @@ from typing import Dict, List, Optional, Tuple
 from ..energy.accounting import active_energy_of
 from ..energy.dpd import shutdown_decision
 from ..model.history import (
-    MKHistory,
     make_initial_history,
     normalize_initial_history,
 )

@@ -13,7 +13,9 @@ produce byte-identical journal rows to the pool backend, resume a
 pool-written journal (and vice versa), fall back to the scalar engine
 per job mid-batch when a job is not batchable (transient faults
 possible), and keep ``validate`` sampling coverage identical when every
-job was journal-resumed.
+job was journal-resumed.  Chunk-per-worker sweeps (``workers > 1``) must
+match the pool backend too, and a kernel that raises must hand every
+batched job to the scalar engine with nothing dropped.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import json
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.faults.scenario import FaultScenario
 from repro.harness.events import EventLog
 from repro.harness.runner import SCHEME_FACTORIES, run_scheme
@@ -321,17 +322,134 @@ class TestSweepBackend:
         assert not resumed.validation_issues
 
 
+def assert_same_sweep(got, expected):
+    """Payloads, aggregates and drops of two sweeps are identical."""
+    assert got.job_payloads == expected.job_payloads
+    assert got.dropped == expected.dropped
+    assert [
+        (b.bin_range, b.taskset_count, b.mean_energy, b.normalized_energy,
+         b.mk_violation_count)
+        for b in got.bins
+    ] == [
+        (b.bin_range, b.taskset_count, b.mean_energy, b.normalized_energy,
+         b.mk_violation_count)
+        for b in expected.bins
+    ]
+
+
+#: A kernel monkeypatched in the parent reaches pool workers only when
+#: they are forked from it.
+needs_fork = pytest.mark.skipif(
+    __import__("multiprocessing").get_start_method() != "fork",
+    reason="pool workers inherit the patched kernel only under fork",
+)
+
+
+class TestBatchWorkers:
+    """The batch backend's chunk-per-worker path and its kernel-failure
+    fallback, pinned against the pool backend."""
+
+    FACTORY = staticmethod(lambda i: FaultScenario.permanent_only(seed=300 + i))
+
+    def test_two_workers_match_pool(self, tmp_path):
+        pool_journal = tmp_path / "pool.jsonl"
+        batch_journal = tmp_path / "batch.jsonl"
+        pool = utilization_sweep(
+            journal_path=str(pool_journal),
+            scenario_factory=self.FACTORY,
+            **SWEEP_KW,
+        )
+        log = EventLog()
+        batch = utilization_sweep(
+            journal_path=str(batch_journal),
+            scenario_factory=self.FACTORY,
+            backend="batch",
+            workers=2,
+            events=log,
+            **SWEEP_KW,
+        )
+        assert_same_sweep(batch, pool)
+        assert journal_job_rows(batch_journal) == journal_job_rows(
+            pool_journal
+        )
+        # Every job was batched: none started on the scalar engine.
+        assert not log.of_kind("job_start")
+        assert log.of_kind("batch_progress")
+        finishes = log.of_kind("job_finish")
+        assert len(finishes) == len(pool.job_payloads)
+        assert all(e.data["apportioned"] is True for e in finishes)
+
+    @pytest.mark.parametrize(
+        "workers", [1, pytest.param(2, marks=needs_fork)]
+    )
+    def test_failing_kernel_falls_back_to_scalar(self, monkeypatch, workers):
+        import repro.sim.batch as batch_mod
+
+        pool = utilization_sweep(scenario_factory=self.FACTORY, **SWEEP_KW)
+
+        def broken_kernel(items, progress=None):
+            raise RuntimeError("injected kernel fault")
+
+        monkeypatch.setattr(batch_mod, "run_batch", broken_kernel)
+        log = EventLog()
+        batch = utilization_sweep(
+            scenario_factory=self.FACTORY,
+            backend="batch",
+            workers=workers,
+            events=log,
+            **SWEEP_KW,
+        )
+        assert_same_sweep(batch, pool)
+        assert not batch.dropped and not log.of_kind("job_drop")
+        keys = set(pool.job_payloads)
+        retried = [e.data["job"] for e in log.of_kind("job_retry")]
+        # Every job was batchable, so every job's chunk failed, retried
+        # once on the scalar engine and finished there, timed alone.
+        assert sorted(retried) == sorted(keys)
+        assert all(
+            "injected kernel fault" in e.data["reason"]
+            for e in log.of_kind("job_retry")
+        )
+        assert {e.data["job"] for e in log.of_kind("job_start")} == keys
+        finishes = log.of_kind("job_finish")
+        assert sorted(e.data["job"] for e in finishes) == sorted(keys)
+        assert all("apportioned" not in e.data for e in finishes)
+
+
 class TestNumpyAbsence:
     """Graceful degradation when numpy is not importable."""
 
-    def test_sweep_raises_configuration_error(self, monkeypatch):
+    def test_sweep_degrades_to_pool(self, monkeypatch):
         import repro.sim.batch as batch_mod
 
+        pool = utilization_sweep(**SWEEP_KW)
         monkeypatch.setattr(batch_mod, "_np", None)
-        with pytest.raises(ConfigurationError) as excinfo:
-            utilization_sweep(backend="batch", **SWEEP_KW)
-        assert "repro[batch]" in str(excinfo.value)
-        assert "--backend pool" in str(excinfo.value)
+        log = EventLog()
+        batch = utilization_sweep(backend="batch", events=log, **SWEEP_KW)
+        assert_same_sweep(batch, pool)
+        kinds = [event.kind for event in log.events]
+        assert kinds[:2] == ["run_start", "backend_fallback"]
+        assert log.of_kind("run_start")[0].data["backend"] == "pool"
+        (fallback,) = log.of_kind("backend_fallback")
+        assert fallback.data["requested"] == "batch"
+        assert fallback.data["used"] == "pool"
+        assert "repro[batch]" in fallback.data["reason"]
+
+    def test_service_spec_runs_without_numpy(self, monkeypatch):
+        import repro.sim.batch as batch_mod
+        from repro.harness.store import sweep_to_dict
+        from repro.service import SweepSpec
+
+        small = {
+            "faults": "none",
+            "bins": [[0.3, 0.4]],
+            "sets_per_bin": 1,
+            "horizon_cap_units": 100,
+        }
+        expected = sweep_to_dict(SweepSpec.from_dict(small).run())
+        monkeypatch.setattr(batch_mod, "_np", None)
+        spec = SweepSpec.from_dict({**small, "backend": "batch"})
+        assert sweep_to_dict(spec.run()) == expected
 
     def test_build_batch_item_returns_none(self, monkeypatch):
         import repro.sim.batch as batch_mod

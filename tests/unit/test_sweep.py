@@ -500,65 +500,40 @@ class TestValidationSampling:
             utilization_sweep([(0.3, 0.4)], validate=-1, tasksets_by_bin={})
 
 
-class TestExecutionDrivers:
-    def test_stock_backends_resolve(self):
-        from repro.harness.sweep import SWEEP_BACKENDS, resolve_driver
+class TestBackends:
+    KWARGS = dict(
+        bins=[(0.3, 0.4)], sets_per_bin=2, seed=77, horizon_cap_units=300,
+    )
 
+    def test_every_backend_runs_the_same_sweep(self):
+        # RUN_START names the backend actually used: batch degrades to
+        # pool where numpy is missing.
+        from repro.harness.store import sweep_to_dict
+        from repro.harness.sweep import SWEEP_BACKENDS
+        from repro.sim.batch import numpy_available
+
+        stock = sweep_to_dict(utilization_sweep(**self.KWARGS))
         for name in SWEEP_BACKENDS:
-            assert resolve_driver(name).name == name
-        assert resolve_driver("serial").inline_only
-        assert not resolve_driver("pool").inline_only
+            log = EventLog()
+            sweep = utilization_sweep(backend=name, events=log, **self.KWARGS)
+            assert sweep_to_dict(sweep) == stock
+            used = "pool" if name == "batch" and not numpy_available() else name
+            assert log.of_kind(RUN_START)[0].data["backend"] == used
 
     def test_unknown_backend_rejected(self):
-        from repro.harness.sweep import resolve_driver
+        from repro.harness.sweep import check_backend
 
         with pytest.raises(ConfigurationError, match="unknown backend"):
-            resolve_driver("quantum")
+            check_backend("quantum")
         with pytest.raises(ConfigurationError, match="unknown backend"):
             utilization_sweep(
                 [(0.3, 0.4)], backend="quantum", tasksets_by_bin={}
             )
 
-    def test_duplicate_registration_requires_replace(self):
-        from repro.harness.sweep import PoolDriver, register_driver
-
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_driver(PoolDriver())
-
-    def test_abstract_driver_not_registrable(self):
-        from repro.harness.sweep import ExecutionDriver, register_driver
-
-        with pytest.raises(ConfigurationError, match="concrete name"):
-            register_driver(ExecutionDriver())
-
-    def test_custom_driver_runs_the_sweep(self):
-        # A driver passed explicitly carries the whole sweep: same
-        # results as the stock pool path, and the request it receives
-        # exposes the jobs/keys/specs contract.
-        from repro.harness.store import sweep_to_dict
-        from repro.harness.sweep import PoolDriver
-
-        class RecordingDriver(PoolDriver):
-            name = "recording"
-
-            def __init__(self):
-                self.requests = []
-
-            def execute(self, request):
-                self.requests.append(request)
-                return super().execute(request)
-
-        kwargs = dict(
-            bins=[(0.3, 0.4)], sets_per_bin=2, seed=77,
-            horizon_cap_units=300,
-        )
-        recording = RecordingDriver()
+    def test_serial_backend_runs_inline(self):
         log = EventLog()
-        via_driver = utilization_sweep(driver=recording, events=log, **kwargs)
-        stock = utilization_sweep(**kwargs)
-        assert len(recording.requests) == 1
-        request = recording.requests[0]
-        assert len(request.jobs) == len(request.keys) == len(request.specs)
-        assert sweep_to_dict(via_driver) == sweep_to_dict(stock)
-        # The run event names the driver that actually executed.
-        assert log.of_kind(RUN_START)[0].data["backend"] == "recording"
+        utilization_sweep(
+            backend="serial", workers=4, events=log, **self.KWARGS
+        )
+        assert log.of_kind(RUN_START)[0].data["workers"] == 1
+        assert not log.of_kind("pool_respawn")
